@@ -34,6 +34,13 @@ __all__ = ["main"]
 DEFAULT_TABLE_CAP = 10
 THREADS_ENV_VAR = "RHO_MOMENTS_THREADS"
 FORMATS = click.Choice(["json", "csv", "markdown"])
+MC_OPTION = click.option(
+    "--mc",
+    type=(click.IntRange(min=montecarlo.MIN_SAMPLES), click.IntRange(min=0)),
+    default=None,
+    metavar="SAMPLES SEED",
+    help=f"Attach a Monte Carlo report (SAMPLES >= {montecarlo.MIN_SAMPLES}, SEED >= 0).",
+)
 
 
 def resolve_workers(threads: int | None) -> int:
@@ -192,7 +199,9 @@ def main() -> None:
     "which", type=click.Choice(["sym-chars", "unitary-chars", "dims", "dim-char-sum"])
 )
 @click.option("--k", required=True, type=int, help="Number of boxes K.")
-@click.option("--n", type=int, default=None, help="Matrix dimension N (dims, dim-char-sum).")
+@click.option(
+    "--n", type=click.IntRange(min=1), default=None, help="Matrix dimension N (dims, dim-char-sum)."
+)
 @click.option("--format", "fmt", type=FORMATS, default="markdown", show_default=True)
 @click.option("--cap-k", type=int, default=DEFAULT_TABLE_CAP, show_default=True)
 def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
@@ -242,7 +251,7 @@ def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
 @click.option("--lambda", "lam", default="1", show_default=True, help="Scale as a rational.")
 @click.option("--dirichlet", is_flag=True, help="Open-region Dirichlet integral instead.")
 @click.option("--f-power", type=int, default=0, show_default=True, help="Weight power m in f(t)=t^m (Dirichlet only).")
-@click.option("--mc", nargs=2, type=int, default=None, metavar="SAMPLES SEED", help="Attach a Monte Carlo report.")
+@MC_OPTION
 @click.option("--threads", type=int, default=None, help=f"Worker count (default: {THREADS_ENV_VAR} or machine).")
 @click.option("--format", "fmt", type=FORMATS, default="markdown", show_default=True)
 def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
@@ -284,7 +293,7 @@ def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
 @main.command("qmoment")
 @click.option("--n", required=True, type=int, help="Matrix dimension N.")
 @click.option("--entries", required=True, help='Index pairs like "1,1 1,2" (1-based).')
-@click.option("--mc", nargs=2, type=int, default=None, metavar="SAMPLES SEED", help="Attach a Monte Carlo report.")
+@MC_OPTION
 @click.option("--threads", type=int, default=None, help=f"Worker count (default: {THREADS_ENV_VAR} or machine).")
 @click.option("--cap-k", type=int, default=DEFAULT_BOX_CAP, show_default=True)
 @click.option("--format", "fmt", type=FORMATS, default="markdown", show_default=True)
@@ -327,15 +336,15 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
     default="all",
     show_default=True,
 )
-@click.option("--samples", type=int, default=100000, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True)
+@click.option(
+    "--samples", type=click.IntRange(min=montecarlo.MIN_SAMPLES), default=100000, show_default=True
+)
+@click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--threads", type=int, default=None, help=f"Worker count (default: {THREADS_ENV_VAR} or machine).")
 @click.option("--format", "fmt", type=FORMATS, default="markdown", show_default=True)
 @click.pass_context
 def cmd_verify(ctx, suite, samples, seed, threads, fmt) -> None:
     """Run the self-check suites; exit 0 only if every check passes."""
-    if samples < 100:
-        raise click.BadParameter("--samples must be at least 100")
     workers = resolve_workers(threads)
     results = verify.run_suite(suite, samples, seed, workers)
     all_passed = all(r.passed for r in results)

@@ -3,10 +3,12 @@
 Density matrices are drawn as rho = G G^dagger / tr(G G^dagger) with G a
 square matrix of independent standard complex Gaussians; that normalization
 realizes the flat trace-one ensemble, which the purity, entry-moment, and
-eigenvalue-law checks validate rather than assume. Estimators stream samples
-in fixed-size chunks, so a given (seed, worker count) reproduces results
-bit-for-bit; worker streams are spawned from one seed sequence and reduced in
-worker order.
+eigenvalue-law checks validate rather than assume. Every estimator builds its
+per-sample consumers and exact targets and hands them to one streaming path:
+the sample count is checked once, per-worker streams are spawned from one seed
+sequence, each worker streams its share through the consumers in fixed-size
+chunks, and the workers' accumulators are reduced in worker order, so a given
+(seed, worker count) reproduces results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import stats
@@ -24,6 +27,7 @@ from .classical import DirichletSpec, SimplexMomentSpec, sample_simplex_batch
 from .quantum import EntryMomentSpec, mgf_coefficient
 
 __all__ = [
+    "MIN_SAMPLES",
     "EstimateReport",
     "KsReport",
     "sample_density",
@@ -41,6 +45,12 @@ __all__ = [
 # Samples are generated and reduced in chunks of this size; a constant keeps
 # chunked accumulation deterministic for a given (seed, workers).
 _CHUNK = 1 << 16
+
+# Every estimator and the KS check refuses smaller sample counts.
+MIN_SAMPLES = 100
+
+# A sampler bound to its shape: draw(count, rng) returns ``count`` samples.
+_Draw = Callable[[int, np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -135,32 +145,55 @@ def _report(acc: _MeanAccumulator, exact: complex, seed: int) -> EstimateReport:
     )
 
 
-def _split_counts(total: int, workers: int) -> list[int]:
-    base, extra = divmod(total, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+def _require_samples(samples: int) -> None:
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"at least {MIN_SAMPLES} samples are required")
 
 
-def _run_workers(
-    total: int,
+def _batches(draw: _Draw, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Draw ``count`` samples from ``rng`` as batches of at most ``_CHUNK``."""
+    while count > 0:
+        batch = draw(min(_CHUNK, count), rng)
+        yield batch
+        count -= batch.shape[0]
+
+
+def _estimate(
+    draw: _Draw,
+    consumers: Sequence[Callable[[np.ndarray], np.ndarray]],
+    exact: Sequence[complex],
+    samples: int,
     seed: int,
     workers: int,
-    job: Callable[[np.random.Generator, int], list[_MeanAccumulator]],
-    n_outputs: int,
-) -> list[_MeanAccumulator]:
-    """Run ``job`` over per-worker spawned streams, reducing in worker order."""
+) -> list[EstimateReport]:
+    """Mean of each consumer over ``samples`` draws, reported against ``exact``.
+
+    Worker w streams its share of the samples from the w-th stream spawned
+    from ``seed``; the per-worker accumulators are reduced in worker order.
+    """
+    _require_samples(samples)
     workers = max(1, int(workers))
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(workers)]
-    counts = _split_counts(total, workers)
+    base, extra = divmod(samples, workers)
+    counts = [base + (1 if w < extra else 0) for w in range(workers)]
+
+    def stream(rng: np.random.Generator, count: int) -> list[_MeanAccumulator]:
+        accs = [_MeanAccumulator() for _ in consumers]
+        for batch in _batches(draw, count, rng):
+            for acc, consume in zip(accs, consumers):
+                acc.add(consume(batch))
+        return accs
+
     if workers == 1:
-        results = [job(rngs[0], counts[0])]
+        results = [stream(rngs[0], counts[0])]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, rngs, counts))
-    combined = [_MeanAccumulator() for _ in range(n_outputs)]
+            results = list(pool.map(stream, rngs, counts))
+    combined = [_MeanAccumulator() for _ in consumers]
     for worker_out in results:
         for acc, part in zip(combined, worker_out):
             acc.merge(part)
-    return combined
+    return [_report(acc, complex(x), seed) for acc, x in zip(combined, exact)]
 
 
 def sample_density_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,22 +228,6 @@ def sample_density(n: int, rng: np.random.Generator) -> np.ndarray:
     return sample_density_batch(n, 1, rng)[0]
 
 
-def _stream_density(
-    n: int,
-    rng: np.random.Generator,
-    count: int,
-    consumers: Sequence[Callable[[np.ndarray], np.ndarray]],
-) -> list[_MeanAccumulator]:
-    accs = [_MeanAccumulator() for _ in consumers]
-    remaining = count
-    while remaining > 0:
-        batch = sample_density_batch(n, min(_CHUNK, remaining), rng)
-        for acc, consumer in zip(accs, consumers):
-            acc.add(consumer(batch))
-        remaining -= batch.shape[0]
-    return accs
-
-
 def estimate_entry_moments(
     specs: Sequence[EntryMomentSpec],
     samples: int,
@@ -221,12 +238,9 @@ def estimate_entry_moments(
     """Estimate several entry moments from one shared sample stream."""
     if not specs:
         return []
-    if samples < 100:
-        raise ValueError("at least 100 samples are required")
     n = specs[0].dimension
     if any(s.dimension != n for s in specs):
         raise ValueError("all specs must share one dimension")
-    exact = [quantum.entry_moment(s) for s in specs]
 
     def make_consumer(spec: EntryMomentSpec) -> Callable[[np.ndarray], np.ndarray]:
         idx = [(i - 1, j - 1) for i, j in spec.pairs]
@@ -239,11 +253,14 @@ def estimate_entry_moments(
 
         return consume
 
-    consumers = [make_consumer(s) for s in specs]
-    accs = _run_workers(
-        samples, seed, workers, lambda rng, c: _stream_density(n, rng, c, consumers), len(specs)
+    return _estimate(
+        partial(sample_density_batch, n),
+        [make_consumer(s) for s in specs],
+        [quantum.entry_moment(s) for s in specs],
+        samples,
+        seed,
+        workers,
     )
-    return [_report(acc, complex(x), seed) for acc, x in zip(accs, exact)]
 
 
 def estimate_entry_moment(
@@ -255,17 +272,13 @@ def estimate_entry_moment(
 
 def estimate_purity(n: int, samples: int, seed: int, *, workers: int = 1) -> EstimateReport:
     """Sample mean of tr(rho^2) against the exact ensemble purity."""
-    if samples < 100:
-        raise ValueError("at least 100 samples are required")
     exact = quantum.purity_mean(n)
 
     def consume(batch: np.ndarray) -> np.ndarray:
         return np.einsum("sij,sji->s", batch, batch).real
 
-    accs = _run_workers(
-        samples, seed, workers, lambda rng, c: _stream_density(n, rng, c, [consume]), 1
-    )
-    return _report(accs[0], complex(exact), seed)
+    draw = partial(sample_density_batch, n)
+    return _estimate(draw, [consume], [exact], samples, seed, workers)[0]
 
 
 def estimate_mgf(
@@ -305,25 +318,8 @@ def estimate_mgf(
     def consume(batch: np.ndarray) -> np.ndarray:
         return np.exp(np.einsum("ij,sji->s", a, batch).real)
 
-    accs = _run_workers(
-        samples, seed, workers, lambda rng, c: _stream_density(n, rng, c, [consume]), 1
-    )
-    return _report(accs[0], series, seed)
-
-
-def _stream_simplex(
-    n_components: int,
-    rng: np.random.Generator,
-    count: int,
-    consumer: Callable[[np.ndarray], np.ndarray],
-) -> list[_MeanAccumulator]:
-    acc = _MeanAccumulator()
-    remaining = count
-    while remaining > 0:
-        batch = sample_simplex_batch(n_components, min(_CHUNK, remaining), rng)
-        acc.add(consumer(batch))
-        remaining -= batch.shape[0]
-    return [acc]
+    draw = partial(sample_density_batch, n)
+    return _estimate(draw, [consume], [series], samples, seed, workers)[0]
 
 
 def estimate_simplex_moment(
@@ -335,8 +331,6 @@ def estimate_simplex_moment(
     convention, scale^(N_b-1)/(N_b-1)!, so their mean estimates the integral
     itself.
     """
-    if samples < 100:
-        raise ValueError("at least 100 samples are required")
     exact = classical.simplex_moment(spec)
     n_b = len(spec.exponents)
     weight = float(spec.scale) ** spec.degree() / math.factorial(n_b - 1)
@@ -348,10 +342,8 @@ def estimate_simplex_moment(
                 value *= batch[:, b] ** e
         return value
 
-    accs = _run_workers(
-        samples, seed, workers, lambda rng, c: _stream_simplex(n_b, rng, c, consume), 1
-    )
-    return _report(accs[0], complex(exact), seed)
+    draw = partial(sample_simplex_batch, n_b)
+    return _estimate(draw, [consume], [exact], samples, seed, workers)[0]
 
 
 def estimate_dirichlet_moment(
@@ -363,8 +355,6 @@ def estimate_dirichlet_moment(
     points uniform on the (N_B+1)-component boundary simplex; the region
     volume scale^N_B / N_B! converts the sample mean into the integral.
     """
-    if samples < 100:
-        raise ValueError("at least 100 samples are required")
     exact = classical.dirichlet_moment(spec)
     n_big = len(spec.exponents)
     lam = float(spec.scale)
@@ -380,14 +370,8 @@ def estimate_dirichlet_moment(
             value *= coords.sum(axis=1) ** spec.weight_power
         return value
 
-    accs = _run_workers(
-        samples,
-        seed,
-        workers,
-        lambda rng, c: _stream_simplex(n_big + 1, rng, c, consume),
-        1,
-    )
-    return _report(accs[0], complex(exact), seed)
+    draw = partial(sample_simplex_batch, n_big + 1)
+    return _estimate(draw, [consume], [exact], samples, seed, workers)[0]
 
 
 def larger_eigenvalue_cdf(x) -> np.ndarray:
@@ -405,16 +389,9 @@ def ks_eigenvalue_check(n: int, samples: int, seed: int) -> KsReport:
     """Kolmogorov-Smirnov test of the sampled larger-eigenvalue law at n = 2."""
     if n != 2:
         raise ValueError("only n = 2 has the closed-form marginal implemented")
-    if samples < 100:
-        raise ValueError("at least 100 samples are required")
-    rng = np.random.default_rng(seed)
-    values = np.empty(samples)
-    at = 0
-    while at < samples:
-        batch = sample_density_batch(2, min(_CHUNK, samples - at), rng)
-        eigs = np.linalg.eigvalsh(batch)
-        values[at : at + batch.shape[0]] = eigs[:, -1]
-        at += batch.shape[0]
+    _require_samples(samples)
+    batches = _batches(partial(sample_density_batch, 2), samples, np.random.default_rng(seed))
+    values = np.concatenate([np.linalg.eigvalsh(batch)[:, -1] for batch in batches])
     result = stats.kstest(values, larger_eigenvalue_cdf)
     return KsReport(
         statistic=float(result.statistic),

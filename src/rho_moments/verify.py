@@ -33,6 +33,10 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __post_init__(self):
+        # checks compute numpy bools; reports and JSON need a plain bool
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 def _z_check(name: str, report: montecarlo.EstimateReport) -> CheckResult:
     return CheckResult(

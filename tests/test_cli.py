@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import rho_moments.combinat
 import rho_moments.quantum
@@ -229,6 +230,15 @@ class TestVerifyCommand:
         )
         assert result.exit_code != 0
 
+    def test_json_report_parses_for_quantum_checks(self, runner):
+        # quantum checks compute their verdicts as numpy bools
+        argv = "verify --suite quantum --samples 5000 --seed 7 --threads 1 --format json"
+        result = runner.invoke(main, argv.split())
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["all_passed"] is True
+        assert all(type(c["passed"]) is bool for c in doc["checks"])
+
     def test_unknown_suite_is_usage_error(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "bogus"])
         assert result.exit_code == 2
@@ -247,3 +257,65 @@ class TestThreadResolution:
         assert resolve_workers(2) == 2
         monkeypatch.delenv("RHO_MOMENTS_THREADS")
         assert resolve_workers(None) >= 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qmoment", "--n", "2", "--entries", "1,1", "--mc", "50", "1"],
+        ["simplex", "--nu", "2,0,1", "--mc", "50", "1"],
+        ["qmoment", "--n", "2", "--entries", "1,1", "--mc", "1000", "-1"],
+        ["simplex", "--nu", "2,0,1", "--mc", "1000", "-1"],
+        ["tables", "dims", "--k", "2", "--n", "0"],
+        ["tables", "dim-char-sum", "--k", "3", "--n", "0"],
+        ["verify", "--seed", "-1"],
+    ],
+)
+def test_bad_input_is_usage_error(runner, argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+
+
+SMALL = st.integers(-1, 5).map(str)
+FORMAT_ARGS = st.sampled_from([[], ["--format", "json"], ["--format", "csv"]])
+MC_ARGS = st.one_of(
+    st.just([]),
+    st.tuples(st.sampled_from(["-1", "0", "50", "100"]), st.sampled_from(["-1", "0", "3"])).map(
+        lambda mc: ["--mc", *mc]
+    ),
+)
+# the worker pool has no upper bound, so only ever ask for one or two threads
+THREAD_ARGS = st.sampled_from([[], ["--threads", "1"], ["--threads", "2"]])
+GARBLED = st.sampled_from(["", ",", " ", "a", "1,,2", "1;2", "1,2,3", "1/2", "1.5"])
+NU = st.one_of(st.lists(st.integers(-1, 3).map(str), min_size=1, max_size=4).map(",".join), GARBLED)
+ENTRIES = st.one_of(
+    st.lists(st.tuples(SMALL, SMALL).map(",".join), min_size=1, max_size=4).map(" ".join),
+    GARBLED,
+)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["tables", "simplex", "qmoment"]))
+    if command == "tables":
+        which = draw(st.sampled_from(["sym-chars", "unitary-chars", "dims", "dim-char-sum"]))
+        argv = ["tables", which, "--k", draw(SMALL)]
+        argv += draw(st.one_of(st.just([]), SMALL.map(lambda n: ["--n", n])))
+    elif command == "simplex":
+        argv = ["simplex", "--nu", draw(NU)]
+        argv += draw(st.sampled_from([[], ["--dirichlet"]]))
+        argv += draw(MC_ARGS) + draw(THREAD_ARGS)
+    else:
+        argv = ["qmoment", "--n", draw(SMALL), "--entries", draw(ENTRIES)]
+        argv += draw(MC_ARGS) + draw(THREAD_ARGS)
+    return argv + draw(FORMAT_ARGS)
+
+
+@given(cli_argv())
+@settings(max_examples=150, deadline=None)
+def test_any_input_ends_with_a_documented_exit_code(argv):
+    # an uncaught exception propagates out of invoke and fails the test
+    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    assert "Traceback" not in result.output

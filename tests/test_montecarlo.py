@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from rho_moments.montecarlo import (
+    MIN_SAMPLES,
     estimate_dirichlet_moment,
     estimate_entry_moment,
     estimate_entry_moments,
@@ -60,6 +61,25 @@ class TestSampleDensity:
         assert abs(a.mean() - b.mean()) <= 4 * se
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda m: estimate_entry_moment(EntryMomentSpec(2, ((1, 1),)), m, seed=1),
+        lambda m: estimate_entry_moments([EntryMomentSpec(2, ((1, 2), (2, 1)))], m, seed=1)[0],
+        lambda m: estimate_purity(2, m, seed=1),
+        lambda m: estimate_mgf(np.diag([0.1, -0.1]), 6, m, seed=1),
+        lambda m: estimate_simplex_moment(SimplexMomentSpec((2, 0, 1)), m, seed=1),
+        lambda m: estimate_dirichlet_moment(DirichletSpec((1, 0)), m, seed=1),
+        lambda m: ks_eigenvalue_check(2, m, seed=1),
+    ],
+    ids=["entry", "entries", "purity", "mgf", "simplex", "dirichlet", "ks"],
+)
+def test_requires_minimum_samples(estimate):
+    with pytest.raises(ValueError, match="at least"):
+        estimate(MIN_SAMPLES - 1)
+    assert estimate(MIN_SAMPLES).sample_count == MIN_SAMPLES
+
+
 class TestEstimatorDeterminism:
     def test_single_thread_bit_identical(self):
         spec = EntryMomentSpec(2, ((1, 2), (2, 1)))
@@ -101,10 +121,6 @@ class TestEstimateEntryMoment:
         reports = estimate_entry_moments(specs, 200_000, seed=23)
         assert [r.sample_count for r in reports] == [200_000, 200_000]
         assert all(r.z_score <= 4.0 for r in reports)
-
-    def test_requires_minimum_samples(self):
-        with pytest.raises(ValueError):
-            estimate_entry_moment(EntryMomentSpec(2, ((1, 1),)), 10, seed=1)
 
 
 class TestEstimateMgf:
@@ -170,6 +186,12 @@ class TestKsEigenvalueCheck:
         a = ks_eigenvalue_check(2, 50_000, seed=63)
         b = ks_eigenvalue_check(2, 50_000, seed=64)
         assert a.p_value > 0.001 and b.p_value > 0.001
+
+    def test_chunk_boundary(self):
+        # one sample past a full chunk: the second batch holds a single draw
+        report = ks_eigenvalue_check(2, 2**16 + 1, seed=65)
+        assert report.sample_count == 2**16 + 1
+        assert report.p_value > 0.001
 
     def test_other_dimensions_unsupported(self):
         with pytest.raises(ValueError):
