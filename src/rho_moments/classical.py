@@ -8,11 +8,13 @@ monomial weight f(t) = t^weight_power on the coordinate sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
+
+from .combinat import bounded_factorial, bounded_power
 
 __all__ = [
     "SimplexMomentSpec",
@@ -80,10 +82,9 @@ class DirichletSpec:
 def simplex_moment(spec: SimplexMomentSpec) -> Fraction:
     """prod(nu_b!) * scale^nu / nu! with nu = sum(nu_b) + N_b - 1."""
     nu = spec.degree()
-    numerator = Fraction(1)
-    for e in spec.exponents:
-        numerator *= factorial(e)
-    return numerator * spec.scale**nu / factorial(nu)
+    denominator = bounded_factorial(nu)  # nu bounds every nu_b, so it is checked first
+    numerator = math.prod(bounded_factorial(e) for e in spec.exponents)
+    return numerator * bounded_power(spec.scale, nu) / denominator
 
 
 def dirichlet_moment(spec: DirichletSpec) -> Fraction:
@@ -94,18 +95,19 @@ def dirichlet_moment(spec: DirichletSpec) -> Fraction:
     """
     nu = spec.degree()
     m = spec.weight_power
-    numerator = Fraction(1)
-    for e in spec.exponents:
-        numerator *= factorial(e)
-    g = Fraction(nu, nu + m) * spec.scale ** (nu + m)
-    return numerator / factorial(nu) * g
+    denominator = bounded_factorial(nu)
+    numerator = math.prod(bounded_factorial(e) for e in spec.exponents)
+    g = Fraction(nu, nu + m) * bounded_power(spec.scale, nu + m)
+    return Fraction(numerator, denominator) * g
 
 
 def beta_function(m: int, n: int) -> Fraction:
     """(m-1)! (n-1)! / (m+n-1)! for positive integers."""
     if m < 1 or n < 1:
         raise ValueError("beta_function needs positive integer arguments")
-    return Fraction(factorial(m - 1) * factorial(n - 1), factorial(m + n - 1))
+    return Fraction(
+        bounded_factorial(m - 1) * bounded_factorial(n - 1), bounded_factorial(m + n - 1)
+    )
 
 
 def sample_simplex(n_components: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import os
+import sys
 from fractions import Fraction
 
 import click
@@ -192,6 +193,9 @@ def check_table_cap(k: int, cap: int) -> None:
 @click.group()
 def main() -> None:
     """Exact moments of the flat density-matrix ensemble and the simplex."""
+    # Exact values print in full, their size bounded by the budget in ``combinat``;
+    # Python before 3.10.7 has no int-to-str digit limit to lift.
+    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)
 
 
 @main.command("tables")
@@ -269,6 +273,8 @@ def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
             exact = classical.simplex_moment(spec)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
+    except CapExceededError as exc:
+        raise click.ClickException(str(exc)) from exc
 
     doc = {
         "query": {
@@ -281,11 +287,11 @@ def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
     }
     if mc is not None:
         samples, seed = mc
-        workers = resolve_workers(threads)
-        if dirichlet:
-            report = montecarlo.estimate_dirichlet_moment(spec, samples, seed, workers=workers)
-        else:
-            report = montecarlo.estimate_simplex_moment(spec, samples, seed, workers=workers)
+        estimate = montecarlo.estimate_dirichlet_moment if dirichlet else montecarlo.estimate_simplex_moment
+        try:
+            report = estimate(spec, samples, seed, workers=resolve_workers(threads))
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), param_hint="'--mc'") from exc
         doc["mc_report"] = mc_report_json(report)
     emit_query(fmt, doc)
 
@@ -307,14 +313,14 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
     if cap_k > DEFAULT_BOX_CAP:
         click.echo(
             f"warning: cap raised above {DEFAULT_BOX_CAP}; the permutation sum "
-            "grows as K!",
+            "costs 2^K*K chain steps plus 3^K terms",
             err=True,
         )
     try:
         exact = quantum.entry_moment(spec, max_boxes=cap_k)
+        raw = quantum.hs_volume(n) * exact
     except CapExceededError as exc:
         raise click.ClickException(str(exc)) from exc
-    raw = quantum.hs_volume(n) * exact
     doc = {
         "query": {"n": n, "entries": [list(p) for p in pairs]},
         "exact_value": rational_json(exact),

@@ -8,4 +8,4 @@ class DegenerateSpectrumError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A request would enumerate more permutations/terms than the configured cap."""
+    """A request would exceed a configured cap or the exact-arithmetic budget."""

@@ -322,6 +322,14 @@ def estimate_mgf(
     return _estimate(draw, [consume], [series], samples, seed, workers)[0]
 
 
+def _float_targets(exact, scale, power: int, count: int) -> tuple[complex, float, float]:
+    """The exact target, the scale and scale^power / count! as floats, or a ValueError."""
+    try:
+        return complex(exact), float(scale), float(scale) ** power / math.factorial(count)
+    except OverflowError as exc:
+        raise ValueError("the exact value or the sample weight does not fit a float") from exc
+
+
 def estimate_simplex_moment(
     spec: SimplexMomentSpec, samples: int, seed: int, *, workers: int = 1
 ) -> EstimateReport:
@@ -331,9 +339,8 @@ def estimate_simplex_moment(
     convention, scale^(N_b-1)/(N_b-1)!, so their mean estimates the integral
     itself.
     """
-    exact = classical.simplex_moment(spec)
     n_b = len(spec.exponents)
-    weight = float(spec.scale) ** spec.degree() / math.factorial(n_b - 1)
+    exact, _, weight = _float_targets(classical.simplex_moment(spec), spec.scale, spec.degree(), n_b - 1)
 
     def consume(batch: np.ndarray) -> np.ndarray:
         value = np.full(batch.shape[0], weight)
@@ -355,10 +362,8 @@ def estimate_dirichlet_moment(
     points uniform on the (N_B+1)-component boundary simplex; the region
     volume scale^N_B / N_B! converts the sample mean into the integral.
     """
-    exact = classical.dirichlet_moment(spec)
     n_big = len(spec.exponents)
-    lam = float(spec.scale)
-    volume = lam**n_big / math.factorial(n_big)
+    exact, lam, volume = _float_targets(classical.dirichlet_moment(spec), spec.scale, n_big, n_big)
 
     def consume(batch: np.ndarray) -> np.ndarray:
         coords = lam * batch[:, :n_big]

@@ -9,10 +9,13 @@ mean of a product of observable pairings against the random density matrix is
 It is obtained by expanding the dimension-weighted character sum into class
 monomials of trace power sums and replacing each monomial by its sum of trace
 products over permutations, and is cross-checked against the K = 1, 2 closed
-forms, the K <= 4 weighted-character table, and Monte Carlo sampling. All
-user-facing moments are normalized by the ensemble volume, so results are
-exact rationals (entry moments) or plain complex numbers; the (2*pi)-carrying
-raw values remain available through ``ScaledRational``.
+forms, the K <= 4 weighted-character table, and Monte Carlo sampling. It is
+evaluated over set partitions instead of S_K, each block weighted by N times
+the trace sum over its cyclic orders, in O(2^K K) chain steps plus O(3^K)
+partition terms. All user-facing moments are normalized by the ensemble
+volume, so results are exact rationals (entry moments; also integer-valued
+observables) or plain complex numbers; the (2*pi)-carrying raw values remain
+available through ``ScaledRational``.
 """
 
 from __future__ import annotations
@@ -21,16 +24,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .characters import eval_power_sums, unitary_char_eval, weyl_dim
+from .characters import unitary_char_eval, weyl_dim
 from .combinat import (
     CycleType,
-    class_order,
-    enumerate_cycle_types,
+    bounded_factorial,
     enumerate_partitions,
     lower_triangle_count,
     super_factorial,
@@ -53,8 +54,8 @@ __all__ = [
     "purity_mean",
 ]
 
-# K! permutations are enumerated for K observables; 8! = 40320 is still fast,
-# 12! is not. Overridable per call.
+# Largest K accepted per call: the permutation sums cost 2^K K chain steps plus
+# 3^K terms, ``omega_expand`` lists all K! permutations. Overridable per call.
 DEFAULT_BOX_CAP = 8
 
 
@@ -124,23 +125,6 @@ def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
 
 
-def _permutation_cycles(perm: Sequence[int]) -> list[tuple[int, ...]]:
-    """Cycles of a permutation given as images (0-based), each min-rotated."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle = []
-        at = start
-        while not seen[at]:
-            seen[at] = True
-            cycle.append(at)
-            at = perm[at]
-        cycles.append(tuple(cycle))
-    return cycles
-
-
 class TraceProductExpr:
     """Formal sum of coefficient * products of trace factors.
 
@@ -203,21 +187,12 @@ class TraceProductExpr:
         """
         if len(pairs) != self._order:
             raise ValueError(f"expected {self._order} index pairs, got {len(pairs)}")
-        total = Fraction(0)
-        for term, coeff in self._terms.items():
-            value = 1
-            for cycle in term:
-                for t, idx in enumerate(cycle):
-                    j_here = pairs[idx - 1][1]
-                    i_next = pairs[cycle[(t + 1) % len(cycle)] - 1][0]
-                    if j_here != i_next:
-                        value = 0
-                        break
-                if not value:
-                    break
-            if value:
-                total += coeff
-        return total
+
+        def closes(cycle: tuple[int, ...]) -> bool:
+            following = cycle[1:] + cycle[:1]
+            return all(pairs[a - 1][1] == pairs[b - 1][0] for a, b in zip(cycle, following))
+
+        return sum((c for term, c in self._terms.items() if all(map(closes, term))), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TraceProductExpr):
@@ -238,10 +213,8 @@ def hs_volume(n: int) -> ScaledRational:
     """Total volume of the density-matrix body: (2*pi)^L_N * F_{N-1} / (N^2-1)!."""
     if n < 1:
         raise ValueError("n must be positive")
-    return ScaledRational(
-        Fraction(super_factorial(n - 1), factorial(n * n - 1)),
-        lower_triangle_count(n),
-    )
+    denominator = bounded_factorial(n * n - 1)
+    return ScaledRational(Fraction(super_factorial(n - 1), denominator), lower_triangle_count(n))
 
 
 def _check_beta(beta: Sequence[int]) -> tuple[int, ...]:
@@ -261,7 +234,7 @@ def det_lemma_value(beta: Sequence[int]) -> int:
     beta = _check_beta(beta)
     product = 1
     for b in beta:
-        product *= factorial(b)
+        product *= bounded_factorial(b)
     return product * vandermonde(beta)
 
 
@@ -274,7 +247,12 @@ def int_lemma_value(beta: Sequence[int]) -> Fraction:
     beta = _check_beta(beta)
     n = len(beta)
     nu = sum(beta) + lower_triangle_count(n) + n - 1
-    return Fraction(det_lemma_value(beta), factorial(nu))
+    return Fraction(det_lemma_value(beta), bounded_factorial(nu))
+
+
+def _rising_product(k: int, n: int) -> int:
+    """(K+N^2-1)! / (N^2-1)!, the inverse of the moment prefactor."""
+    return math.perm(k + n * n - 1, k)
 
 
 def mgf_coefficient(k: int, n: int, a: np.ndarray) -> complex:
@@ -295,8 +273,7 @@ def mgf_coefficient(k: int, n: int, a: np.ndarray) -> complex:
     total = 0.0 + 0.0j
     for irrep in enumerate_partitions(k, n):
         total += weyl_dim(irrep, n) * unitary_char_eval(irrep, a)
-    prefactor = Fraction(factorial(n * n - 1), factorial(k + n * n - 1))
-    return complex(prefactor * total)
+    return complex(Fraction(1, _rising_product(k, n)) * total)
 
 
 def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CAP) -> TraceProductExpr:
@@ -326,22 +303,6 @@ def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CA
     return TraceProductExpr(k, terms)
 
 
-def _exact_or_complex(values: list[complex]) -> list:
-    """Lift exactly-real floats into lossless Fractions, else leave unchanged.
-
-    A float converts to Fraction without rounding, so when every trace in a
-    permutation sum is exactly real the sum can be carried out in rational
-    arithmetic with a single rounding at the very end; identity or real
-    diagonal observables then give exact results.
-    """
-    exact = []
-    for v in values:
-        if v.imag != 0.0 or not math.isfinite(v.real):
-            return values
-        exact.append(Fraction(v.real))
-    return exact
-
-
 def _validated_observables(observables: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
     mats = [np.asarray(c, dtype=complex) for c in observables]
     if not mats:
@@ -350,7 +311,48 @@ def _validated_observables(observables: Sequence[np.ndarray]) -> tuple[list[np.n
     for c in mats:
         if c.ndim != 2 or c.shape != (n, n):
             raise ValueError("observables must be square matrices of one dimension")
+        if not np.isfinite(c).all():
+            raise ValueError("observables must have finite entries")
     return mats, n
+
+
+def _check_cap(k: int, max_boxes: int) -> int:
+    if k > max_boxes:
+        raise CapExceededError(
+            f"K = {k} exceeds the cap of {max_boxes}; the permutation sum costs "
+            "2^K*K chain steps plus 3^K partition terms"
+        )
+    return k
+
+
+def _permutation_sum(k: int, n: int, start: Callable, grow: Callable, close: Callable):
+    """Sum over pi in S_K of n^cycles(pi) * prod over cycles of the cycle weight.
+
+    Subsets of range(K) are bitmasks. A cycle on a block S is an ordering of S
+    from min(S); chain[S] sums their running products: ``start(a)`` for S = {a},
+    else ``grow`` of the pairs (chain[S - j], j) over the last element j. The
+    block weight is w(S) = close(chain[S], min S), and splitting off the block
+    holding min(S) gives f[S] = n * sum over B containing min S, B inside S, of
+    w(B) f[S - B]. That is O(2^K K) chain steps plus O(3^K) partition terms.
+    """
+    size = 1 << k
+    chains, weights, f = [None] * size, [0] * size, [1] * size
+    for s in range(1, size):
+        low = s & -s
+        first, rest = low.bit_length() - 1, s ^ low
+        if rest:
+            last = [j for j in range(first + 1, k) if rest >> j & 1]
+            chains[s] = grow([(chains[s ^ 1 << j], j) for j in last])
+        else:
+            chains[s] = start(first)
+        weights[s] = close(chains[s], first)
+        total, sub = weights[low] * f[rest], rest
+        while sub:
+            if weights[low | sub]:
+                total += weights[low | sub] * f[rest ^ sub]
+            sub = (sub - 1) & rest
+        f[s] = n * total
+    return f[-1]
 
 
 def moment_traces(
@@ -358,90 +360,44 @@ def moment_traces(
 ) -> complex:
     """Mean of prod_j (C_j . rho) over the flat density-matrix ensemble.
 
-    Evaluates the permutation sum over S_K described in the module docstring.
-    When every observable is the same matrix the sum collapses onto classes
-    weighted by their orders, avoiding the K! enumeration.
+    The permutation sum of the module docstring, with chain[S] the N x N sum
+    of products over the cyclic orders of S. A total that comes out exactly
+    real, as for integer-valued observables, is normalized exactly.
     """
     mats, n = _validated_observables(observables)
-    k = len(mats)
-    if k > max_boxes:
-        raise CapExceededError(
-            f"{k} observables need {k}! permutation terms; cap is {max_boxes}"
-        )
-    prefactor = Fraction(factorial(n * n - 1), factorial(k + n * n - 1))
-
-    if all(np.array_equal(c, mats[0]) for c in mats[1:]):
-        ts = _exact_or_complex(eval_power_sums(mats[0], k))
-        total = 0
-        for cls in enumerate_cycle_types(k):
-            value = class_order(cls) * n ** cls.cycles()
-            for r, count in enumerate(cls.counts, start=1):
-                if count:
-                    value = value * ts[r - 1] ** count
-            total = total + value
-        return complex(prefactor * total)
-
-    trace_cache: dict[tuple[int, ...], complex] = {}
-
-    def chain_trace(cycle: tuple[int, ...]) -> complex:
-        if cycle not in trace_cache:
-            prod = mats[cycle[0]]
-            for idx in cycle[1:]:
-                prod = prod @ mats[idx]
-            trace_cache[cycle] = complex(np.trace(prod))
-        return trace_cache[cycle]
-
-    cycle_sets = [_permutation_cycles(perm) for perm in permutations(range(k))]
-    for cycles in cycle_sets:
-        for cycle in cycles:
-            chain_trace(cycle)
-    exact_cache = dict(zip(trace_cache, _exact_or_complex(list(trace_cache.values()))))
-
-    total = 0
-    for cycles in cycle_sets:
-        value = n ** len(cycles)
-        for cycle in cycles:
-            value = value * exact_cache[cycle]
-        total = total + value
-    return complex(prefactor * total)
+    k = _check_cap(len(mats), max_boxes)
+    total = _permutation_sum(
+        k, n, lambda a: mats[a], lambda prev: sum(chain @ mats[j] for chain, j in prev),
+        lambda chain, _: complex(np.trace(chain)),
+    )
+    if total.imag == 0 and math.isfinite(total.real):
+        total = Fraction(total.real)
+    return complex(Fraction(1, _rising_product(k, n)) * total)
 
 
 def entry_moment(spec: EntryMomentSpec, *, max_boxes: int = DEFAULT_BOX_CAP) -> Fraction:
     """Exact mean of prod_p rho[i_p, j_p] over the flat ensemble.
 
-    Single-entry observables make every trace factor a cyclic chain of
-    Kronecker deltas, so the permutation sum stays in integer arithmetic.
+    A single-entry observable keeps one nonzero row, so chain[S] is row
+    i_min(S) times an integer count per end column, and a block closes where
+    that column meets i_min(S): the sum stays in integer arithmetic.
     """
-    k = spec.order()
-    if k > max_boxes:
-        raise CapExceededError(
-            f"{k} index pairs need {k}! permutation terms; cap is {max_boxes}"
-        )
+    k = _check_cap(spec.order(), max_boxes)
     n = spec.dimension
     rows = [i for i, _ in spec.pairs]
     cols = [j for _, j in spec.pairs]
-    total = 0
-    for perm in permutations(range(k)):
-        value = 1
-        seen = [False] * k
-        ncycles = 0
-        for start in range(k):
-            if seen[start]:
-                continue
-            ncycles += 1
-            at = start
-            while not seen[at]:
-                seen[at] = True
-                nxt = perm[at]
-                if cols[at] != rows[nxt]:
-                    value = 0
-                    break
-                at = nxt
-            if not value:
-                break
-        if value:
-            total += n**ncycles
-    return Fraction(factorial(n * n - 1) * total, factorial(k + n * n - 1))
+    if sorted(rows) != sorted(cols):
+        return Fraction(0)  # no cycle closes unless the columns rearrange the rows
+
+    def grow(prev: list[tuple[dict[int, int], int]]) -> dict[int, int]:
+        ends: dict[int, int] = {}
+        for chain, j in prev:
+            if chain.get(rows[j]):
+                ends[cols[j]] = ends.get(cols[j], 0) + chain[rows[j]]
+        return ends
+
+    total = _permutation_sum(k, n, lambda a: {cols[a]: 1}, grow, lambda chain, a: chain.get(rows[a], 0))
+    return Fraction(total, _rising_product(k, n))
 
 
 def purity_mean(n: int) -> Fraction:

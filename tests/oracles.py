@@ -1,11 +1,16 @@
 """Independent oracles used to pin golden values.
 
 Nothing here may call into the code paths it checks: determinants are
-cofactor expansions, dimensions come from the hook-content formula, and
-integrals go through scipy quadrature in the tests themselves.
+cofactor expansions, dimensions come from the hook-content formula, ensemble
+moments list all K! permutations, and integrals go through scipy quadrature in
+the tests themselves.
 """
 
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
+
+import numpy as np
 
 
 def exact_det(rows):
@@ -44,3 +49,58 @@ def vandermonde_matrix(values):
     """Explicit Vandermonde matrix rows [1, v, v^2, ...] for the det oracle."""
     size = len(values)
     return [[v**p for p in range(size)] for v in values]
+
+
+def permutation_sum(k, n, cycle_weight):
+    """Sum over all of S_K of n^cycles * prod of cycle_weight over the cycles.
+
+    Each cycle is the tuple of 0-based indices in the order the permutation
+    visits them, starting from its smallest index.
+    """
+    total = 0
+    for perm in permutations(range(k)):
+        seen = [False] * k
+        value = 1
+        for start in range(k):
+            if seen[start]:
+                continue
+            cycle = []
+            at = start
+            while not seen[at]:
+                seen[at] = True
+                cycle.append(at)
+                at = perm[at]
+            value = value * n * cycle_weight(tuple(cycle))
+        total = total + value
+    return total
+
+
+def ensemble_normalization(k, n):
+    """(N^2-1)! / (K+N^2-1)!, the flat-ensemble moment prefactor."""
+    return Fraction(factorial(n * n - 1), factorial(k + n * n - 1))
+
+
+def entry_moment_oracle(n, pairs):
+    """Mean of prod rho[i_p, j_p]: a cycle survives when each column meets the next row."""
+    rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
+
+    def weight(cycle):
+        following = cycle[1:] + cycle[:1]
+        return int(all(cols[a] == rows[b] for a, b in zip(cycle, following)))
+
+    return ensemble_normalization(len(pairs), n) * permutation_sum(len(pairs), n, weight)
+
+
+def moment_traces_oracle(mats):
+    """Mean of prod (C_j . rho): each cycle contributes the trace of its matrix product."""
+    mats = [np.asarray(c, dtype=complex) for c in mats]
+    n = mats[0].shape[0]
+
+    def weight(cycle):
+        prod = mats[cycle[0]]
+        for idx in cycle[1:]:
+            prod = prod @ mats[idx]
+        return complex(np.trace(prod))
+
+    return complex(ensemble_normalization(len(mats), n) * permutation_sum(len(mats), n, weight))

@@ -15,6 +15,7 @@ from rho_moments.classical import (
     sample_simplex_batch,
     simplex_moment,
 )
+from rho_moments.errors import CapExceededError
 from rho_moments.montecarlo import estimate_simplex_moment
 
 F = Fraction
@@ -61,6 +62,16 @@ class TestSimplexMoment:
             SimplexMomentSpec((1,), F(0))
 
 
+    @pytest.mark.parametrize(
+        "spec",
+        [SimplexMomentSpec((99_999_999,)), SimplexMomentSpec((1, 2), F(10) ** 100_000)],
+        ids=["factorial", "power"],
+    )
+    def test_exact_budget(self, spec):
+        with pytest.raises(CapExceededError):
+            simplex_moment(spec)
+
+
 class TestDirichletMoment:
     def test_golden_quarter_plane(self):
         # oracle: iint_{x+y<1} x^2 dx dy
@@ -91,6 +102,12 @@ class TestDirichletMoment:
         d = dirichlet_moment(DirichletSpec(tuple(exponents), scale))
         s = simplex_moment(SimplexMomentSpec(tuple(exponents) + (0,), scale))
         assert d == s
+
+
+    def test_weight_power_counts_towards_the_budget(self):
+        with pytest.raises(CapExceededError):
+            dirichlet_moment(DirichletSpec((1,), F(3, 2), 10**6))
+        assert dirichlet_moment(DirichletSpec((1,), F(1), 10**6)) == F(1, 1_000_002)
 
 
 class TestBetaFunction:

@@ -1,11 +1,12 @@
+import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-import rho_moments.combinat
 import rho_moments.quantum
 from rho_moments.cli import main
 
@@ -117,6 +118,17 @@ class TestSimplexCommand:
         result = runner.invoke(main, ["simplex", "--nu", "1", "--lambda", "a/b"])
         assert result.exit_code == 2
 
+    def test_factorial_beyond_the_exact_budget_is_resource_error(self, runner):
+        result = runner.invoke(main, ["simplex", "--nu", "99999999"])
+        assert result.exit_code == 1
+        assert "exact-arithmetic limit" in result.output
+
+    def test_huge_scale_prints_in_full(self, runner):
+        result = runner.invoke(main, ["simplex", "--nu", "1,2", "--lambda", "1e5000"])
+        assert result.exit_code == 0, result.output
+        # 1! 2! (10^5000)^4 / 4! = 25 * 10^19998 / 3
+        assert "25" + "0" * 19998 + "/3" in result.output
+
     def test_mc_report_attached(self, runner):
         result = runner.invoke(
             main,
@@ -185,6 +197,22 @@ class TestQmomentCommand:
         assert result.exit_code == 1
         assert "cap" in result.output
 
+    def test_volume_beyond_the_exact_budget_is_resource_error(self, runner):
+        result = runner.invoke(main, ["qmoment", "--n", "1000", "--entries", "1,1"])
+        assert result.exit_code == 1
+        assert "exact-arithmetic limit" in result.output
+
+    def test_values_past_the_digit_limit_print_in_full(self, runner):
+        # the raw volume has ~7000 digits, past Python's default int-to-str limit
+        result = runner.invoke(
+            main, ["qmoment", "--n", "50", "--entries", "1,1", "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        raw = json.loads(result.output)["raw_value"]
+        expected = rho_moments.quantum.hs_volume(50) * Fraction(1, 50)
+        assert Fraction(raw["numerator"], raw["denominator"]) == expected.rational
+        assert raw["twopi_exponent"] == expected.twopi_exponent
+
 
 class TestVerifyCommand:
     def test_quantum_suite_passes(self, runner):
@@ -216,19 +244,27 @@ class TestVerifyCommand:
         assert doc["all_passed"] is True
         assert all({"name", "passed", "detail"} <= set(c) for c in doc["checks"])
 
-    def test_perturbed_class_order_fails(self, runner, monkeypatch):
-        true_order = rho_moments.combinat.class_order
+    def test_perturbed_block_weight_fails(self, runner, monkeypatch):
+        engine = rho_moments.quantum._permutation_sum
 
-        def corrupted(cycle_type):
-            value = true_order(cycle_type)
-            return value + 1 if cycle_type.boxes() >= 2 else value
+        def corrupted(k, n, start, grow, close):
+            # Block weights are closed in subset order, so the last one is the
+            # block of all K indices: add 1 to that weight only.
+            closed = itertools.count(1)
 
-        monkeypatch.setattr(rho_moments.quantum, "class_order", corrupted)
+            def close_wrongly(chain, first):
+                weight = close(chain, first)
+                return weight + 1 if next(closed) == (1 << k) - 1 else weight
+
+            return engine(k, n, start, grow, close_wrongly)
+
+        monkeypatch.setattr(rho_moments.quantum, "_permutation_sum", corrupted)
         result = runner.invoke(
             main,
             ["verify", "--suite", "quantum", "--samples", "5000", "--seed", "7", "--threads", "1"],
         )
-        assert result.exit_code != 0
+        assert result.exit_code == 1
+        assert "FAIL" in result.output
 
     def test_json_report_parses_for_quantum_checks(self, runner):
         # quantum checks compute their verdicts as numpy bools
@@ -269,6 +305,8 @@ class TestThreadResolution:
         ["tables", "dims", "--k", "2", "--n", "0"],
         ["tables", "dim-char-sum", "--k", "3", "--n", "0"],
         ["verify", "--seed", "-1"],
+        ["simplex", "--nu", "1,2", "--lambda", "1e400", "--mc", "100", "1"],
+        ["simplex", "--nu", "400", "--lambda", "10", "--mc", "100", "1"],
     ],
 )
 def test_bad_input_is_usage_error(runner, argv):
@@ -295,6 +333,20 @@ ENTRIES = st.one_of(
 )
 
 
+# Scales and powers whose exact values overflow a float or pass the
+# exact-arithmetic budget, and exponents and dimensions far beyond it.
+LAMBDA_ARGS = st.one_of(
+    st.just([]),
+    st.sampled_from(["0", "-1", "3/2", "1e400", "1e-400", "1e5000"]).map(lambda x: ["--lambda", x]),
+)
+F_POWER_ARGS = st.one_of(st.just([]), st.sampled_from(["0", "2", "30000"]).map(lambda m: ["--f-power", m]))
+SIMPLEX_NU = st.one_of(
+    NU,
+    st.lists(st.sampled_from(["0", "1", "3", "99999999"]), min_size=1, max_size=3).map(",".join),
+)
+QMOMENT_N = st.one_of(SMALL, st.sampled_from(["50", "100000"]))
+
+
 @st.composite
 def cli_argv(draw):
     command = draw(st.sampled_from(["tables", "simplex", "qmoment"]))
@@ -303,11 +355,12 @@ def cli_argv(draw):
         argv = ["tables", which, "--k", draw(SMALL)]
         argv += draw(st.one_of(st.just([]), SMALL.map(lambda n: ["--n", n])))
     elif command == "simplex":
-        argv = ["simplex", "--nu", draw(NU)]
+        argv = ["simplex", "--nu", draw(SIMPLEX_NU)]
         argv += draw(st.sampled_from([[], ["--dirichlet"]]))
+        argv += draw(LAMBDA_ARGS) + draw(F_POWER_ARGS)
         argv += draw(MC_ARGS) + draw(THREAD_ARGS)
     else:
-        argv = ["qmoment", "--n", draw(SMALL), "--entries", draw(ENTRIES)]
+        argv = ["qmoment", "--n", draw(QMOMENT_N), "--entries", draw(ENTRIES)]
         argv += draw(MC_ARGS) + draw(THREAD_ARGS)
     return argv + draw(FORMAT_ARGS)
 

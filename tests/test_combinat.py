@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rho_moments.combinat import (
+    MAX_FACTORIAL_ARG,
     CycleType,
     Partition,
+    bounded_factorial,
+    bounded_power,
     class_order,
     enumerate_cycle_types,
     enumerate_partitions,
@@ -14,6 +17,8 @@ from rho_moments.combinat import (
     super_factorial,
     vandermonde,
 )
+
+from rho_moments.errors import CapExceededError
 
 from oracles import exact_det, vandermonde_matrix
 
@@ -147,3 +152,22 @@ class TestFactorialConstants:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_lower_triangle_is_partial_sum(self, n):
         assert lower_triangle_count(n) == sum(range(n))
+
+
+class TestExactBudget:
+    def test_factorial_up_to_the_limit(self):
+        assert bounded_factorial(5) == 120
+        assert bounded_factorial(MAX_FACTORIAL_ARG) == factorial(MAX_FACTORIAL_ARG)
+
+    def test_factorial_above_the_limit(self):
+        with pytest.raises(CapExceededError):
+            bounded_factorial(MAX_FACTORIAL_ARG + 1)
+
+    def test_powers_of_one_are_free(self):
+        assert bounded_power(Fraction(1), 10**9) == 1
+
+    @pytest.mark.parametrize("base", (Fraction(2), Fraction(1, 2), Fraction(-3, 2)))
+    def test_power_size_limit(self, base):
+        assert bounded_power(base, 1000) == base**1000
+        with pytest.raises(CapExceededError):
+            bounded_power(base, 2 * factorial(MAX_FACTORIAL_ARG).bit_length())

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -78,6 +80,21 @@ def test_requires_minimum_samples(estimate):
     with pytest.raises(ValueError, match="at least"):
         estimate(MIN_SAMPLES - 1)
     assert estimate(MIN_SAMPLES).sample_count == MIN_SAMPLES
+
+
+@pytest.mark.parametrize(
+    "estimate,spec",
+    [
+        (estimate_simplex_moment, SimplexMomentSpec((1, 2), Fraction(10) ** 400)),
+        (estimate_simplex_moment, SimplexMomentSpec((400,), 10)),
+        (estimate_dirichlet_moment, DirichletSpec((1, 2), Fraction(10) ** 400)),
+        (estimate_dirichlet_moment, DirichletSpec((400,), 10)),
+    ],
+    ids=["simplex-scale", "simplex-value", "dirichlet-scale", "dirichlet-value"],
+)
+def test_simplex_targets_beyond_float_range_are_value_errors(estimate, spec):
+    with pytest.raises(ValueError, match="float"):
+        estimate(spec, MIN_SAMPLES, seed=1)
 
 
 class TestEstimatorDeterminism:

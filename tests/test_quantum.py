@@ -22,7 +22,7 @@ from rho_moments.quantum import (
     purity_mean,
 )
 
-from oracles import exact_det
+from oracles import entry_moment_oracle, exact_det, moment_traces_oracle
 
 F = Fraction
 
@@ -224,6 +224,13 @@ class TestMomentTraces:
         with pytest.raises(ValueError):
             moment_traces([np.eye(2), np.eye(3)])
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, complex(0, -np.inf)))
+    def test_non_finite_observable_rejected(self, bad):
+        c = np.eye(2, dtype=complex)
+        c[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            moment_traces([np.eye(2), c])
+
 
 class TestEntryMoment:
     @pytest.mark.parametrize("n", range(1, 5))
@@ -276,6 +283,25 @@ class TestEntryMoment:
     def test_out_of_range_pair_rejected(self):
         with pytest.raises(ValueError):
             EntryMomentSpec(2, ((1, 3),))
+
+
+class TestSubsetEngineAgainstPermutationOracle:
+    """The subset recursion against the plain K! enumeration in ``oracles``."""
+
+    @pytest.mark.parametrize("n,kmax", [(2, 5), (3, 4)])
+    def test_entry_moments_exhaustive(self, n, kmax):
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for k in range(1, kmax + 1):
+            for pairs in itertools.product(cells, repeat=k):
+                assert entry_moment(EntryMomentSpec(n, pairs)) == entry_moment_oracle(n, pairs)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_moment_traces_random_complex(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(k)]
+        expected = moment_traces_oracle(mats)
+        assert abs(moment_traces(mats) - expected) <= 1e-12 * abs(expected)
 
 
 class TestPurityMean:
