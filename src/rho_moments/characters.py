@@ -67,10 +67,6 @@ class PowerSumPoly:
                 clean[_strip_trailing_zeros(tuple(int(e) for e in key))] = coeff
         self._terms = clean
 
-    @classmethod
-    def monomial(cls, exponents: Iterable[int], coeff: Fraction | int = 1) -> "PowerSumPoly":
-        return cls({tuple(exponents): Fraction(coeff)})
-
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self._terms)
@@ -84,14 +80,6 @@ class PowerSumPoly:
         merged = dict(self._terms)
         for key, coeff in other._terms.items():
             merged[key] = merged.get(key, Fraction(0)) + coeff
-        return PowerSumPoly(merged)
-
-    def __sub__(self, other: "PowerSumPoly") -> "PowerSumPoly":
-        if not isinstance(other, PowerSumPoly):
-            return NotImplemented
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            merged[key] = merged.get(key, Fraction(0)) - coeff
         return PowerSumPoly(merged)
 
     def __mul__(self, scalar: Fraction | int) -> "PowerSumPoly":

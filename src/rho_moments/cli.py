@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .characters import (
     weyl_dim,
 )
 from .classical import DirichletSpec, SimplexMomentSpec
-from .combinat import class_order, enumerate_cycle_types, enumerate_partitions
+from .combinat import MAX_EXACT_BITS, MAX_FACTORIAL_ARG, class_order, enumerate_cycle_types, enumerate_partitions
 from .errors import CapExceededError
 from .quantum import DEFAULT_BOX_CAP, EntryMomentSpec
 
@@ -41,6 +42,9 @@ MC_OPTION = click.option(
     default=None,
     metavar="SAMPLES SEED",
     help=f"Attach a Monte Carlo report (SAMPLES >= {montecarlo.MIN_SAMPLES}, SEED >= 0).",
+)
+THREADS_OPTION = click.option(
+    "--threads", type=int, default=None, help=f"Worker count (default: {THREADS_ENV_VAR} or machine)."
 )
 
 
@@ -58,7 +62,22 @@ def resolve_workers(threads: int | None) -> int:
 
 
 def parse_rational(text: str, label: str) -> Fraction:
+    """``text`` as a Fraction; one past the exact-arithmetic budget is refused before it is built.
+
+    ``Fraction`` multiplies a decimal exponent out, so the size is bounded from
+    the text: neither term has more digits than the mantissa plus the exponent.
+    """
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "")
     try:
+        # a ten-digit exponent is past any budget, and int() of a long one is slow
+        digits = sum(c.isdigit() for c in mantissa) + (
+            int(exponent or 0) if len(exponent.lstrip("0")) < 10 else math.inf
+        )
+        if digits * math.log2(10) > MAX_EXACT_BITS:
+            raise click.ClickException(
+                f"{label} is above the exact-arithmetic limit, the size of {MAX_FACTORIAL_ARG}!"
+            )
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise click.BadParameter(f"{label} must be a rational like 3 or 5/2, got {text!r}") from exc
@@ -256,7 +275,7 @@ def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
 @click.option("--dirichlet", is_flag=True, help="Open-region Dirichlet integral instead.")
 @click.option("--f-power", type=int, default=0, show_default=True, help="Weight power m in f(t)=t^m (Dirichlet only).")
 @MC_OPTION
-@click.option("--threads", type=int, default=None, help=f"Worker count (default: {THREADS_ENV_VAR} or machine).")
+@THREADS_OPTION
 @click.option("--format", "fmt", type=FORMATS, default="markdown", show_default=True)
 def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
     """Exact simplex/Dirichlet moment for the given exponents and scale."""
@@ -300,7 +319,7 @@ def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
 @click.option("--n", required=True, type=int, help="Matrix dimension N.")
 @click.option("--entries", required=True, help='Index pairs like "1,1 1,2" (1-based).')
 @MC_OPTION
-@click.option("--threads", type=int, default=None, help=f"Worker count (default: {THREADS_ENV_VAR} or machine).")
+@THREADS_OPTION
 @click.option("--cap-k", type=int, default=DEFAULT_BOX_CAP, show_default=True)
 @click.option("--format", "fmt", type=FORMATS, default="markdown", show_default=True)
 def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
@@ -346,7 +365,7 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
     "--samples", type=click.IntRange(min=montecarlo.MIN_SAMPLES), default=100000, show_default=True
 )
 @click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
-@click.option("--threads", type=int, default=None, help=f"Worker count (default: {THREADS_ENV_VAR} or machine).")
+@THREADS_OPTION
 @click.option("--format", "fmt", type=FORMATS, default="markdown", show_default=True)
 @click.pass_context
 def cmd_verify(ctx, suite, samples, seed, threads, fmt) -> None:
@@ -355,23 +374,12 @@ def cmd_verify(ctx, suite, samples, seed, threads, fmt) -> None:
     results = verify.run_suite(suite, samples, seed, workers)
     all_passed = all(r.passed for r in results)
     if fmt == "json":
-        doc = {
-            "suite": suite,
-            "samples": samples,
-            "seed": seed,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-            "all_passed": all_passed,
-        }
-        click.echo(json.dumps(doc, indent=2))
+        checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        doc = {"suite": suite, "samples": samples, "seed": seed, "checks": checks}
+        emit_query(fmt, {**doc, "all_passed": all_passed})
     elif fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["check", "passed", "detail"])
-        for r in results:
-            writer.writerow([r.name, "pass" if r.passed else "FAIL", r.detail])
-        click.echo(buffer.getvalue(), nl=False)
+        rows = [[r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]
+        emit_table(fmt, "verify", {}, ["check", "passed", "detail"], rows)
     else:
         width = max(len(r.name) for r in results)
         for r in results:

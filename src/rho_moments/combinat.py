@@ -18,6 +18,7 @@ __all__ = [
     "enumerate_partitions",
     "enumerate_cycle_types",
     "class_order",
+    "MAX_EXACT_BITS",
     "MAX_FACTORIAL_ARG",
     "bounded_factorial",
     "bounded_power",
@@ -211,6 +212,8 @@ def class_order(cycle_type: CycleType) -> int:
 # Largest exact factorial argument: 10000! has 35,660 digits, which reduce and
 # print in ~25 ms, and the cost grows quadratically (50000!: ~0.9 s to print).
 MAX_FACTORIAL_ARG = 10000
+# Largest exact power or parsed input, in bits: the size of MAX_FACTORIAL_ARG!.
+MAX_EXACT_BITS = int(lgamma(MAX_FACTORIAL_ARG + 1) / log(2))
 
 
 def bounded_factorial(n: int) -> int:
@@ -221,10 +224,10 @@ def bounded_factorial(n: int) -> int:
 
 
 def bounded_power(base: Fraction, exponent: int) -> Fraction:
-    """base**exponent, refusing results with more bits than ``MAX_FACTORIAL_ARG``! has."""
+    """base**exponent, refusing results of more than ``MAX_EXACT_BITS`` bits."""
     base = Fraction(base)
     bits = max(abs(base.numerator), base.denominator).bit_length() - 1
-    if exponent * bits > lgamma(MAX_FACTORIAL_ARG + 1) / log(2):
+    if exponent * bits > MAX_EXACT_BITS:
         raise CapExceededError(
             f"a {bits + 1}-bit base to the power {exponent} is above the exact-arithmetic "
             f"limit, the size of {MAX_FACTORIAL_ARG}!"

@@ -4,20 +4,22 @@ Density matrices are drawn as rho = G G^dagger / tr(G G^dagger) with G a
 square matrix of independent standard complex Gaussians; that normalization
 realizes the flat trace-one ensemble, which the purity, entry-moment, and
 eigenvalue-law checks validate rather than assume. Every estimator builds its
-per-sample consumers and exact targets and hands them to one streaming path:
-the sample count is checked once, per-worker streams are spawned from one seed
-sequence, each worker streams its share through the consumers in fixed-size
-chunks, and the workers' accumulators are reduced in worker order, so a given
-(seed, worker count) reproduces results bit-for-bit.
+per-sample consumers and exact targets and hands them to one streaming path,
+which the KS check shares: the samples are cut into fixed-size chunks, chunk c
+is drawn from its own stream ``SeedSequence(seed, spawn_key=(c,))``, worker w
+of W draws chunks w, w+W, ..., and the per-chunk results are combined in chunk
+order. A report therefore depends on the seed alone; the worker count changes
+only the speed.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -42,9 +44,11 @@ __all__ = [
     "larger_eigenvalue_cdf",
 ]
 
-# Samples are generated and reduced in chunks of this size; a constant keeps
-# chunked accumulation deterministic for a given (seed, workers).
+# A chunk holds at most _CHUNK samples and, down to one sample, _CHUNK_ENTRIES
+# sample entries, so its arrays stay a few tens of MB as the matrices grow. The
+# size depends on the sample width alone, because chunk boundaries fix the streams.
 _CHUNK = 1 << 16
+_CHUNK_ENTRIES = 1 << 20
 
 # Every estimator and the KS check refuses smaller sample counts.
 MIN_SAMPLES = 100
@@ -145,53 +149,50 @@ def _report(acc: _MeanAccumulator, exact: complex, seed: int) -> EstimateReport:
     )
 
 
-def _require_samples(samples: int) -> None:
+def _chunk_results(
+    draw: _Draw, width: int, samples: int, seed: int, workers: int, consume: Callable[[np.ndarray], object]
+) -> list:
+    """``consume(batch)`` for each chunk of ``samples`` draws of ``width`` entries, in chunk order.
+
+    Chunk c is drawn from ``SeedSequence(seed, spawn_key=(c,))``, the c-th child
+    of ``SeedSequence(seed).spawn``; each of W = min(workers, chunk count, cpu
+    count) pool threads draws chunks w, w+W, ... in one task.
+    """
     if samples < MIN_SAMPLES:
         raise ValueError(f"at least {MIN_SAMPLES} samples are required")
+    size = min(_CHUNK, max(1, _CHUNK_ENTRIES // width))
+    chunks = -(-samples // size)
+    workers = min(max(1, int(workers)), chunks, os.cpu_count() or 1)
 
+    def chunk(c: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        return draw(min(size, samples - c * size), rng)
 
-def _batches(draw: _Draw, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Draw ``count`` samples from ``rng`` as batches of at most ``_CHUNK``."""
-    while count > 0:
-        batch = draw(min(_CHUNK, count), rng)
-        yield batch
-        count -= batch.shape[0]
+    def work(first: int) -> list:
+        # The loop keeps the previous chunk alive while the next is drawn, so
+        # the allocator reuses its memory instead of faulting in fresh pages.
+        return [consume(batch) for batch in map(chunk, range(first, chunks, workers))]
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(work, range(workers)))
+    return [parts[c % workers][c // workers] for c in range(chunks)]
 
 
 def _estimate(
-    draw: _Draw,
-    consumers: Sequence[Callable[[np.ndarray], np.ndarray]],
-    exact: Sequence[complex],
-    samples: int,
-    seed: int,
-    workers: int,
+    draw: _Draw, width: int, consumers: Sequence[Callable[[np.ndarray], np.ndarray]],
+    exact: Sequence[complex], samples: int, seed: int, workers: int,
 ) -> list[EstimateReport]:
-    """Mean of each consumer over ``samples`` draws, reported against ``exact``.
+    """Mean of each consumer over ``samples`` draws, reported against ``exact``."""
 
-    Worker w streams its share of the samples from the w-th stream spawned
-    from ``seed``; the per-worker accumulators are reduced in worker order.
-    """
-    _require_samples(samples)
-    workers = max(1, int(workers))
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(workers)]
-    base, extra = divmod(samples, workers)
-    counts = [base + (1 if w < extra else 0) for w in range(workers)]
-
-    def stream(rng: np.random.Generator, count: int) -> list[_MeanAccumulator]:
+    def accumulate(batch: np.ndarray) -> list[_MeanAccumulator]:
         accs = [_MeanAccumulator() for _ in consumers]
-        for batch in _batches(draw, count, rng):
-            for acc, consume in zip(accs, consumers):
-                acc.add(consume(batch))
+        for acc, consume in zip(accs, consumers):
+            acc.add(consume(batch))
         return accs
 
-    if workers == 1:
-        results = [stream(rngs[0], counts[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(stream, rngs, counts))
     combined = [_MeanAccumulator() for _ in consumers]
-    for worker_out in results:
-        for acc, part in zip(combined, worker_out):
+    for chunk in _chunk_results(draw, width, samples, seed, workers, accumulate):
+        for acc, part in zip(combined, chunk):
             acc.merge(part)
     return [_report(acc, complex(x), seed) for acc, x in zip(combined, exact)]
 
@@ -255,6 +256,7 @@ def estimate_entry_moments(
 
     return _estimate(
         partial(sample_density_batch, n),
+        n * n,
         [make_consumer(s) for s in specs],
         [quantum.entry_moment(s) for s in specs],
         samples,
@@ -277,8 +279,7 @@ def estimate_purity(n: int, samples: int, seed: int, *, workers: int = 1) -> Est
     def consume(batch: np.ndarray) -> np.ndarray:
         return np.einsum("sij,sji->s", batch, batch).real
 
-    draw = partial(sample_density_batch, n)
-    return _estimate(draw, [consume], [exact], samples, seed, workers)[0]
+    return _estimate(partial(sample_density_batch, n), n * n, [consume], [exact], samples, seed, workers)[0]
 
 
 def estimate_mgf(
@@ -318,8 +319,7 @@ def estimate_mgf(
     def consume(batch: np.ndarray) -> np.ndarray:
         return np.exp(np.einsum("ij,sji->s", a, batch).real)
 
-    draw = partial(sample_density_batch, n)
-    return _estimate(draw, [consume], [series], samples, seed, workers)[0]
+    return _estimate(partial(sample_density_batch, n), n * n, [consume], [series], samples, seed, workers)[0]
 
 
 def _float_targets(exact, scale, power: int, count: int) -> tuple[complex, float, float]:
@@ -349,8 +349,7 @@ def estimate_simplex_moment(
                 value *= batch[:, b] ** e
         return value
 
-    draw = partial(sample_simplex_batch, n_b)
-    return _estimate(draw, [consume], [exact], samples, seed, workers)[0]
+    return _estimate(partial(sample_simplex_batch, n_b), n_b, [consume], [exact], samples, seed, workers)[0]
 
 
 def estimate_dirichlet_moment(
@@ -376,7 +375,7 @@ def estimate_dirichlet_moment(
         return value
 
     draw = partial(sample_simplex_batch, n_big + 1)
-    return _estimate(draw, [consume], [exact], samples, seed, workers)[0]
+    return _estimate(draw, n_big + 1, [consume], [exact], samples, seed, workers)[0]
 
 
 def larger_eigenvalue_cdf(x) -> np.ndarray:
@@ -394,10 +393,9 @@ def ks_eigenvalue_check(n: int, samples: int, seed: int) -> KsReport:
     """Kolmogorov-Smirnov test of the sampled larger-eigenvalue law at n = 2."""
     if n != 2:
         raise ValueError("only n = 2 has the closed-form marginal implemented")
-    _require_samples(samples)
-    batches = _batches(partial(sample_density_batch, 2), samples, np.random.default_rng(seed))
-    values = np.concatenate([np.linalg.eigvalsh(batch)[:, -1] for batch in batches])
-    result = stats.kstest(values, larger_eigenvalue_cdf)
+    draw = partial(sample_density_batch, 2)
+    tops = _chunk_results(draw, 4, samples, seed, 1, lambda batch: np.linalg.eigvalsh(batch)[:, -1])
+    result = stats.kstest(np.concatenate(tops), larger_eigenvalue_cdf)
     return KsReport(
         statistic=float(result.statistic),
         p_value=float(result.pvalue),

@@ -129,6 +129,21 @@ class TestSimplexCommand:
         # 1! 2! (10^5000)^4 / 4! = 25 * 10^19998 / 3
         assert "25" + "0" * 19998 + "/3" in result.output
 
+    @pytest.mark.parametrize(
+        "argv",
+        (["--nu", "1", "--lambda", "1e3000000"], ["--nu", "0", "--lambda", "1e200000", "--format", "csv"]),
+    )
+    def test_scale_text_beyond_the_exact_budget_is_resource_error(self, runner, argv):
+        # refused from the text, before Fraction multiplies the exponent out
+        result = runner.invoke(main, ["simplex", *argv])
+        assert result.exit_code == 1
+        assert "exact-arithmetic limit" in result.output
+
+    def test_tiny_scale_is_accepted(self, runner):
+        result = runner.invoke(main, ["simplex", "--nu", "1", "--lambda", "1e-400", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["query"]["lambda"]["denominator"] == 10**400
+
     def test_mc_report_attached(self, runner):
         result = runner.invoke(
             main,
@@ -185,6 +200,13 @@ class TestQmomentCommand:
         doc = json.loads(result.output)
         assert doc["exact_value"]["numerator"] == 0
         assert doc["mc_report"]["z_score"] <= 6.0
+
+    def test_mc_output_is_independent_of_thread_count(self, runner):
+        argv = ["qmoment", "--n", "2", "--entries", "1,2 2,1", "--mc", "1000000", "42"]
+        one = runner.invoke(main, argv + ["--threads", "1"])
+        two = runner.invoke(main, argv + ["--threads", "2"])
+        assert one.exit_code == 0, one.output
+        assert two.stdout_bytes == one.stdout_bytes
 
     def test_out_of_range_pair_names_offender(self, runner):
         result = runner.invoke(main, ["qmoment", "--n", "2", "--entries", "1,1 2,3"])
@@ -323,7 +345,7 @@ MC_ARGS = st.one_of(
         lambda mc: ["--mc", *mc]
     ),
 )
-# the worker pool has no upper bound, so only ever ask for one or two threads
+# tests that run the real worker pool ask for one or two threads only
 THREAD_ARGS = st.sampled_from([[], ["--threads", "1"], ["--threads", "2"]])
 GARBLED = st.sampled_from(["", ",", " ", "a", "1,,2", "1;2", "1,2,3", "1/2", "1.5"])
 NU = st.one_of(st.lists(st.integers(-1, 3).map(str), min_size=1, max_size=4).map(",".join), GARBLED)
@@ -349,7 +371,7 @@ QMOMENT_N = st.one_of(SMALL, st.sampled_from(["50", "100000"]))
 
 @st.composite
 def cli_argv(draw):
-    command = draw(st.sampled_from(["tables", "simplex", "qmoment"]))
+    command = draw(st.sampled_from(["tables", "simplex", "qmoment", "verify"]))
     if command == "tables":
         which = draw(st.sampled_from(["sym-chars", "unitary-chars", "dims", "dim-char-sum"]))
         argv = ["tables", which, "--k", draw(SMALL)]
@@ -359,9 +381,13 @@ def cli_argv(draw):
         argv += draw(st.sampled_from([[], ["--dirichlet"]]))
         argv += draw(LAMBDA_ARGS) + draw(F_POWER_ARGS)
         argv += draw(MC_ARGS) + draw(THREAD_ARGS)
-    else:
+    elif command == "qmoment":
         argv = ["qmoment", "--n", draw(QMOMENT_N), "--entries", draw(ENTRIES)]
         argv += draw(MC_ARGS) + draw(THREAD_ARGS)
+    else:
+        argv = ["verify", "--suite", draw(st.sampled_from(["classical", "quantum", "sampler", "all", "bogus"]))]
+        argv += ["--samples", draw(st.sampled_from(["-1", "0", "50", "100"]))]
+        argv += ["--seed", draw(st.sampled_from(["-1", "0", "3"]))] + draw(THREAD_ARGS)
     return argv + draw(FORMAT_ARGS)
 
 

@@ -1,9 +1,11 @@
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from rho_moments import montecarlo, verify
 from rho_moments.montecarlo import (
     MIN_SAMPLES,
     estimate_dirichlet_moment,
@@ -104,7 +106,7 @@ class TestEstimatorDeterminism:
         second = estimate_entry_moment(spec, 20_000, seed=5)
         assert first == second
 
-    def test_worker_count_is_part_of_the_contract(self):
+    def test_two_workers_bit_identical(self):
         spec = EntryMomentSpec(2, ((1, 1),))
         a = estimate_entry_moment(spec, 20_000, seed=5, workers=2)
         b = estimate_entry_moment(spec, 20_000, seed=5, workers=2)
@@ -115,6 +117,76 @@ class TestEstimatorDeterminism:
         a = estimate_simplex_moment(spec, 20_000, seed=9)
         b = estimate_simplex_moment(spec, 20_000, seed=9)
         assert a == b
+
+
+# Every public estimator as reports(samples, workers).
+WORKER_ESTIMATORS = {
+    "entry": lambda m, w: [estimate_entry_moment(EntryMomentSpec(2, ((1, 1),)), m, 1, workers=w)],
+    "entries": lambda m, w: estimate_entry_moments(
+        [EntryMomentSpec(2, ((1, 2), (2, 1))), EntryMomentSpec(2, ((1, 1), (1, 1)))], m, 1, workers=w
+    ),
+    "purity": lambda m, w: [estimate_purity(3, m, 1, workers=w)],
+    "mgf": lambda m, w: [estimate_mgf(np.diag([0.1, -0.1]), 6, m, 1, workers=w)],
+    "simplex": lambda m, w: [estimate_simplex_moment(SimplexMomentSpec((2, 0, 1)), m, 1, workers=w)],
+    "dirichlet": lambda m, w: [estimate_dirichlet_moment(DirichletSpec((1, 0), 1, 2), m, 1, workers=w)],
+}
+
+
+class TestSeedAloneFixesReports:
+    """Chunk c has its own stream, so the worker count changes only the speed."""
+
+    @pytest.mark.parametrize("samples", (100, 65537, 200_000))
+    @pytest.mark.parametrize("name", WORKER_ESTIMATORS)
+    def test_worker_count_leaves_reports_unchanged(self, name, samples):
+        reports = WORKER_ESTIMATORS[name]
+        one = reports(samples, 1)
+        assert reports(samples, 2) == one
+        assert reports(samples, 3) == one
+
+    def test_verify_suite_is_independent_of_workers(self):
+        assert verify.run_suite("all", 70001, 7, 1) == verify.run_suite("all", 70001, 7, 2)
+
+    @pytest.mark.parametrize("cpus", (None, 1000), ids=("machine-cpus", "many-cpus"))
+    def test_pool_is_clamped_to_cpus_and_chunks(self, monkeypatch, cpus):
+        sizes = []
+
+        class SerialPool:
+            # stands in for ThreadPoolExecutor and starts no thread
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        if cpus is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = EntryMomentSpec(2, ((1, 2), (2, 1)))
+        one = estimate_entry_moment(spec, 200_000, seed=3, workers=1)
+        many = estimate_entry_moment(spec, 200_000, seed=3, workers=1000)
+        # 200000 samples of a 2 x 2 matrix are 4 chunks of at most 2**16
+        assert sizes == [1, min(os.cpu_count() or 1, 4)]
+        assert many == one
+
+    def test_chunks_are_sized_by_matrix_entries(self, monkeypatch):
+        counts = []
+        draw = montecarlo.sample_density_batch
+
+        def recording(n, count, rng):
+            counts.append((n, count))
+            return draw(n, count, rng)
+
+        monkeypatch.setattr(montecarlo, "sample_density_batch", recording)
+        estimate_purity(8, 2**15 + 1, seed=1, workers=1)
+        estimate_purity(4, 2**16 + 1, seed=1, workers=1)
+        # at most 2**20 entries per chunk: 2**14 samples of 8 x 8, 2**16 of 4 x 4
+        assert counts == [(8, 2**14), (8, 2**14), (8, 1), (4, 2**16), (4, 1)]
 
 
 class TestEstimateEntryMoment:
