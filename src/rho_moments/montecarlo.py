@@ -10,6 +10,10 @@ is drawn from its own stream ``SeedSequence(seed, spawn_key=(c,))``, worker w
 of W draws chunks w, w+W, ..., and the per-chunk results are combined in chunk
 order. A report therefore depends on the seed alone; the worker count changes
 only the speed.
+
+scipy is imported in ``_kstest`` alone, on first use: its exact Kolmogorov
+distribution gives the KS p-value, and nothing else here needs scipy, so the
+exact CLI paths and the estimators start without loading it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import classical, quantum
 from .classical import DirichletSpec, SimplexMomentSpec, sample_simplex_batch
@@ -389,16 +392,25 @@ def larger_eigenvalue_cdf(x) -> np.ndarray:
     return np.clip(2.0 * x - 1.0, 0.0, 1.0) ** 3
 
 
+def _kstest(values: np.ndarray) -> tuple[float, float]:
+    """KS statistic and p-value of ``values`` against ``larger_eigenvalue_cdf``."""
+    from scipy import stats
+
+    result = stats.kstest(values, larger_eigenvalue_cdf)
+    return float(result.statistic), float(result.pvalue)
+
+
+def _larger_eigenvalue(batch: np.ndarray) -> np.ndarray:
+    """Larger eigenvalue of each Hermitian 2 x 2 matrix, (a + d + sqrt((a-d)^2 + 4|b|^2)) / 2."""
+    a, d = batch[:, 0, 0].real, batch[:, 1, 1].real
+    return (a + d + np.hypot(a - d, 2.0 * np.abs(batch[:, 0, 1]))) / 2.0
+
+
 def ks_eigenvalue_check(n: int, samples: int, seed: int) -> KsReport:
     """Kolmogorov-Smirnov test of the sampled larger-eigenvalue law at n = 2."""
     if n != 2:
         raise ValueError("only n = 2 has the closed-form marginal implemented")
     draw = partial(sample_density_batch, 2)
-    tops = _chunk_results(draw, 4, samples, seed, 1, lambda batch: np.linalg.eigvalsh(batch)[:, -1])
-    result = stats.kstest(np.concatenate(tops), larger_eigenvalue_cdf)
-    return KsReport(
-        statistic=float(result.statistic),
-        p_value=float(result.pvalue),
-        sample_count=samples,
-        seed=seed,
-    )
+    tops = _chunk_results(draw, 4, samples, seed, 1, _larger_eigenvalue)
+    statistic, p_value = _kstest(np.concatenate(tops))
+    return KsReport(statistic=statistic, p_value=p_value, sample_count=samples, seed=seed)

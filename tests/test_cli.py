@@ -1,5 +1,10 @@
 import itertools
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +16,7 @@ import rho_moments.quantum
 from rho_moments.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -398,3 +404,50 @@ def test_any_input_ends_with_a_documented_exit_code(argv):
     result = CliRunner().invoke(main, argv, catch_exceptions=False)
     assert result.exit_code in (0, 1, 2), (argv, result.output)
     assert "Traceback" not in result.output
+
+
+# README lines such as `rho-moments simplex --nu 2,0,1 --lambda 1   # -> 1/60`
+README_EXAMPLES = re.findall(r"^rho-moments (.+?)\s+# -> (\S+)$", README.read_text(), re.MULTILINE)
+
+
+def test_readme_has_annotated_examples():
+    assert len(README_EXAMPLES) >= 3
+
+
+@pytest.mark.parametrize("command, value", README_EXAMPLES)
+def test_readme_example_prints_its_value(runner, command, value):
+    result = runner.invoke(main, shlex.split(command))
+    assert result.exit_code == 0, result.output
+    exact = [line.split() for line in result.output.splitlines() if line.startswith("exact_value")]
+    assert exact == [["exact_value", value]]
+
+
+IMPORT_GRAPH_SCRIPT = """
+import shlex
+import sys
+from rho_moments.cli import main
+
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+for argv in (
+    "tables sym-chars --k 3",
+    "qmoment --n 2 --entries '1,2 2,1'",
+    "simplex --nu 2,0,1 --lambda 1",
+    "qmoment --n 2 --entries '1,2 2,1' --mc 1000 1 --threads 1",
+):
+    main(shlex.split(argv), standalone_mode=False)
+    assert not scipy_loaded(), argv
+main("verify --suite sampler --samples 1000 --seed 1 --threads 1".split(), standalone_mode=False)
+assert scipy_loaded(), "the KS check must load scipy"
+"""
+
+
+def test_only_the_ks_check_loads_scipy():
+    # pytest has imported scipy already, so the import graph is checked in a fresh interpreter
+    package_root = str(Path(rho_moments.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -282,6 +282,12 @@ class TestKsEigenvalueCheck:
         assert report.sample_count == 2**16 + 1
         assert report.p_value > 0.001
 
+    def test_closed_form_larger_eigenvalue_matches_eigvalsh(self):
+        batch = sample_density_batch(2, 20_000, np.random.default_rng(66))
+        np.testing.assert_allclose(
+            montecarlo._larger_eigenvalue(batch), np.linalg.eigvalsh(batch)[:, -1], rtol=0, atol=1e-12
+        )
+
     def test_other_dimensions_unsupported(self):
         with pytest.raises(ValueError):
             ks_eigenvalue_check(3, 1_000, seed=1)
