@@ -5,26 +5,24 @@ recursion, memoized on (shape, remaining cycles). U(N) characters are carried
 either as exact polynomials in the trace power sums t_r = tr(A^r) or as the
 determinant ratio over the eigenvalues; the power-sum route is the recommended
 evaluator since it has no singularity at coinciding eigenvalues.
+
+The dimension-weighted character sum needs no characters: s_lambda(1^N) = 0
+for shapes with more than N rows, so the Cauchy identity gives
+sum_lambda dim_N(lambda) s_lambda = sum over classes mu of N^cycles(mu) p_mu / z_mu
+(Macdonald, Symmetric Functions and Hall Polynomials, I.4). The character
+route is kept as the ``dim-char-sum-vs-characters`` check of ``verify``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .combinat import (
-    CycleType,
-    Partition,
-    class_order,
-    enumerate_cycle_types,
-    enumerate_partitions,
-    lower_triangle_count,
-    super_factorial,
-)
+from .combinat import CycleType, Partition, class_order, enumerate_cycle_types, lower_triangle_count
 from .errors import DegenerateSpectrumError
 
 __all__ = [
@@ -54,7 +52,7 @@ class PowerSumPoly:
 
     Monomials are keyed by exponent tuples with trailing zeros stripped:
     ``(2,)`` is t1^2 and ``(1, 0, 1)`` is t1*t3. Zero coefficients are never
-    stored. Instances are treated as immutable; arithmetic returns new objects.
+    stored. Instances are treated as immutable.
     """
 
     __slots__ = ("_terms",)
@@ -73,21 +71,6 @@ class PowerSumPoly:
 
     def coefficient(self, exponents: Iterable[int]) -> Fraction:
         return self._terms.get(_strip_trailing_zeros(tuple(exponents)), Fraction(0))
-
-    def __add__(self, other: "PowerSumPoly") -> "PowerSumPoly":
-        if not isinstance(other, PowerSumPoly):
-            return NotImplemented
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        return PowerSumPoly(merged)
-
-    def __mul__(self, scalar: Fraction | int) -> "PowerSumPoly":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return PowerSumPoly({k: c * scalar for k, c in self._terms.items()})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PowerSumPoly):
@@ -280,35 +263,37 @@ def unitary_char_ratio(irrep: Partition, eigenvalues: Sequence[complex]) -> comp
 def weyl_dim(irrep: Partition, n: int) -> int:
     """Dimension of the U(N) irrep for this shape; 0 when rows exceed n.
 
-    Evaluates det((eta+delta)^{n-1}, ..., (eta+delta)^0) / prod_{j<n} j! as
-    the difference product prod_{i<j} (v_i - v_j) over v_j = eta_j + n-1-j,
-    which is an exact integer.
+    Weyl's product prod_{i<j<n} (eta_i - eta_j + j - i) / (j - i), in exact
+    integers. With ell rows, the pairs with j >= ell have eta_j = 0, and their
+    factors for one row i telescope into C(eta_i+n-1-i, eta_i) / C(eta_i+ell-1-i,
+    eta_i), so the cost depends on the shape and not on n.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if irrep.rows() > n:
+    parts = irrep.parts
+    ell = len(parts)
+    if ell > n:
         return 0
-    padded = irrep.padded(n)
-    v = [padded[j] + n - 1 - j for j in range(n)]
-    numerator = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            numerator *= v[i] - v[j]
-    return numerator // super_factorial(n - 1)
+    numerator = denominator = 1
+    for i, p in enumerate(parts):
+        numerator *= comb(p + n - 1 - i, p)
+        denominator *= comb(p + ell - 1 - i, p)
+        for j in range(i + 1, ell):
+            numerator *= p - parts[j] + j - i
+            denominator *= j - i
+    return numerator // denominator
 
 
 def dim_char_sum(k: int, n: int) -> PowerSumPoly:
     """Sum of dim(irrep) * character over all K-box irreps of U(N).
 
-    ``k = 0`` returns the constant 1. Coefficients depend on the concrete n.
+    By the Cauchy identity (module docstring) the coefficient of the class
+    monomial t^mu is |class mu| * n^cycles(mu) / K!; ``k = 0`` gives the
+    constant 1. The sum over irreps of ``weyl_dim`` times ``unitary_char_poly``
+    is the ``dim-char-sum-vs-characters`` check of ``verify``.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
     if n < 1:
         raise ValueError("n must be positive")
-    if k == 0:
-        return PowerSumPoly({(): Fraction(1)})
-    total = PowerSumPoly()
-    for irrep in enumerate_partitions(k, n):
-        total = total + unitary_char_poly(irrep) * weyl_dim(irrep, n)
-    return total
+    return PowerSumPoly(
+        {c.counts: Fraction(class_order(c) * n ** c.cycles(), factorial(k)) for c in enumerate_cycle_types(k)}
+    )

@@ -258,14 +258,8 @@ def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
         if n is None:
             n = max(k, 1)
         poly = dim_char_sum(k, n)
-        if k == 0:
-            ordered = [((), poly.coefficient(()))]
-        else:
-            ordered = [
-                (c.counts, poly.coefficient(c.counts)) for c in enumerate_cycle_types(k)
-            ]
         columns = ["monomial", "coefficient"]
-        rows = [[monomial_label(key), coeff] for key, coeff in ordered]
+        rows = [[monomial_label(c.counts), poly.coefficient(c.counts)] for c in enumerate_cycle_types(k)]
         emit_table(fmt, "dim-char-sum", {"k": k, "n": n}, columns, rows)
 
 

@@ -107,9 +107,7 @@ class CycleType:
     @classmethod
     def from_cycle_lengths(cls, lengths: Iterable[int]) -> "CycleType":
         lengths = list(lengths)
-        if not lengths:
-            raise ValueError("at least one cycle is required")
-        counts = [0] * max(lengths)
+        counts = [0] * max(lengths, default=0)
         for r in lengths:
             if r < 1:
                 raise ValueError(f"cycle length must be positive, got {r}")
@@ -192,11 +190,10 @@ def enumerate_cycle_types(k: int) -> list[CycleType]:
     """All classes of S_K, ordered as in character tables.
 
     The order sorts the weakly increasing cycle-length tuples
-    lexicographically: (1^K) first, the full K-cycle last.
+    lexicographically: (1^K) first, the full K-cycle last. ``k = 0`` yields
+    the one empty class.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    lengths = sorted(tuple(sorted(p.parts)) for p in enumerate_partitions(k, k))
+    lengths = sorted(tuple(sorted(p.parts)) for p in enumerate_partitions(k, max(k, 1)))
     return [CycleType.from_cycle_lengths(t) for t in lengths]
 
 

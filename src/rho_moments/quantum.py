@@ -28,15 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characters import unitary_char_eval, weyl_dim
-from .combinat import (
-    CycleType,
-    bounded_factorial,
-    enumerate_partitions,
-    lower_triangle_count,
-    super_factorial,
-    vandermonde,
-)
+from .characters import dim_char_sum, eval_power_sums
+from .combinat import CycleType, bounded_factorial, lower_triangle_count, super_factorial, vandermonde
 from .errors import CapExceededError
 
 __all__ = [
@@ -259,7 +252,8 @@ def mgf_coefficient(k: int, n: int, a: np.ndarray) -> complex:
     """Normalized series coefficient of the moment generating function.
 
     (N^2-1)!/(K+N^2-1)! * sum over K-box shapes with at most N rows of
-    dim * character(A); the K = 0 coefficient is 1 by convention.
+    dim * character(A), which is ``dim_char_sum`` at the power sums of A;
+    the K = 0 coefficient is 1 by convention.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -270,9 +264,7 @@ def mgf_coefficient(k: int, n: int, a: np.ndarray) -> complex:
     a = np.asarray(a, dtype=complex)
     if a.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {a.shape}")
-    total = 0.0 + 0.0j
-    for irrep in enumerate_partitions(k, n):
-        total += weyl_dim(irrep, n) * unitary_char_eval(irrep, a)
+    total = dim_char_sum(k, n).evaluate(eval_power_sums(a, k))
     return complex(Fraction(1, _rising_product(k, n)) * total)
 
 

@@ -16,9 +16,9 @@ from math import factorial
 import numpy as np
 
 from . import classical, montecarlo, quantum
-from .characters import dim_char_sum
+from .characters import dim_char_sum, unitary_char_poly, weyl_dim
 from .classical import DirichletSpec, SimplexMomentSpec
-from .combinat import CycleType, lower_triangle_count
+from .combinat import CycleType, enumerate_cycle_types, enumerate_partitions, lower_triangle_count
 from .quantum import EntryMomentSpec
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
@@ -144,6 +144,21 @@ def _quantum_checks(samples: int, seed: int, workers: int) -> list[CheckResult]:
             if lhs != quantum.det_lemma_value(beta):
                 lemma_ok = False
     checks.append(CheckResult("det-vs-int-lemma", lemma_ok, "beta entries <= 3, N <= 3"))
+
+    # the paper's route: dimension times character, summed over every K-box shape
+    cauchy_ok = all(
+        dim_char_sum(k, n).coefficient(c.counts)
+        == sum(
+            weyl_dim(irrep, n) * unitary_char_poly(irrep).coefficient(c.counts)
+            for irrep in enumerate_partitions(k, k)
+        )
+        for k in range(1, 7)
+        for n in range(1, 5)
+        for c in enumerate_cycle_types(k)
+    )
+    checks.append(
+        CheckResult("dim-char-sum-vs-characters", cauchy_ok, "K <= 6, N <= 4, every class, exact")
+    )
 
     omega_ok = True
     for k in (1, 2, 3):

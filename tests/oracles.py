@@ -2,8 +2,9 @@
 
 Nothing here may call into the code paths it checks: determinants are
 cofactor expansions, dimensions come from the hook-content formula, ensemble
-moments list all K! permutations, and integrals go through scipy quadrature in
-the tests themselves.
+moments list all K! permutations, dimension-weighted character sums go over
+irreps as in the paper, and integrals go through scipy quadrature in the tests
+themselves.
 """
 
 from fractions import Fraction
@@ -11,6 +12,9 @@ from itertools import permutations
 from math import factorial
 
 import numpy as np
+
+from rho_moments.characters import unitary_char_poly
+from rho_moments.combinat import enumerate_partitions
 
 
 def exact_det(rows):
@@ -43,6 +47,20 @@ def hook_content_dim(parts, n):
             value *= Fraction(n + j - i, hook)
     assert value.denominator == 1
     return value.numerator
+
+
+def dim_char_sum_oracle(k, n):
+    """Power-sum terms of sum over K-box shapes of dim * U(N) character.
+
+    The character route: hook-content dimensions times the Murnaghan-Nakayama
+    expansion of each character, keyed like ``PowerSumPoly.terms``.
+    """
+    total = {}
+    for irrep in enumerate_partitions(k, k):
+        dim = hook_content_dim(irrep.parts, n)
+        for key, coeff in unitary_char_poly(irrep).terms.items():
+            total[key] = total.get(key, 0) + dim * coeff
+    return {key: coeff for key, coeff in total.items() if coeff}
 
 
 def vandermonde_matrix(values):

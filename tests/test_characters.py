@@ -25,7 +25,7 @@ from rho_moments.combinat import (
 )
 from rho_moments.errors import DegenerateSpectrumError
 
-from oracles import hook_content_dim
+from oracles import dim_char_sum_oracle, hook_content_dim
 
 F = Fraction
 
@@ -170,14 +170,6 @@ class TestPowerSumPoly:
         poly = PowerSumPoly({(2,): F(0), (0, 1): F(1, 2)})
         assert poly.terms == {(0, 1): F(1, 2)}
 
-    def test_addition_cancels(self):
-        a = PowerSumPoly({(1,): F(1)})
-        b = PowerSumPoly({(1,): F(-1)})
-        assert not (a + b)
-
-    def test_scalar_multiplication(self):
-        assert (PowerSumPoly({(1,): F(1, 3)}) * 3).terms == {(1,): F(1)}
-
     def test_evaluate_exact(self):
         poly = PowerSumPoly({(2,): F(1, 2), (0, 1): F(1, 2)})
         assert poly.evaluate([F(3), F(5)]) == F(7)
@@ -281,12 +273,12 @@ class TestWeylDim:
 
     @pytest.mark.parametrize("parts", sorted(DIMENSION_POLYS))
     def test_reference_dimension_polynomials(self, parts):
-        for n in range(1, 9):
+        for n in [*range(1, 9), 10**5]:
             assert weyl_dim(Partition(parts), n) == DIMENSION_POLYS[parts](n)
 
     def test_against_hook_content_oracle(self):
-        for k in range(1, 6):
-            for n in range(1, 6):
+        for k in range(1, 9):
+            for n in range(1, 11):
                 for irrep in enumerate_partitions(k, k):
                     assert weyl_dim(irrep, n) == hook_content_dim(irrep.parts, n)
 
@@ -309,17 +301,11 @@ class TestDimCharSum:
                 if coeff
             }
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 9))
     @pytest.mark.parametrize("n", range(1, 8))
     def test_class_sum_form(self, k, n):
-        # independent route: (1/K!) sum over classes |C| N^cycles t^class
-        expected = PowerSumPoly(
-            {
-                c.counts: F(class_order(c) * n ** c.cycles(), factorial(k))
-                for c in enumerate_cycle_types(k)
-            }
-        )
-        assert dim_char_sum(k, n) == expected
+        # the closed form against sum over shapes of dim * character
+        assert dim_char_sum(k, n).terms == dim_char_sum_oracle(k, n)
 
     def test_k0_constant(self):
         assert dim_char_sum(0, 3).terms == {(): F(1)}

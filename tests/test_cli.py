@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import re
 import shlex
@@ -13,6 +14,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import rho_moments.quantum
+import rho_moments.verify
+from rho_moments.characters import PowerSumPoly
 from rho_moments.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -70,6 +73,18 @@ class TestTablesCommand:
         result = runner.invoke(main, ["tables", "dim-char-sum", "--k", "0"])
         assert result.exit_code == 0
         assert "| 1        | 1           |" in result.output
+
+    @pytest.mark.parametrize(
+        "argv,row",
+        [
+            ("dims --k 4 --n 100000", f"4,{math.comb(100003, 4)}"),
+            ("dim-char-sum --k 10 --n 100000", f"t1^10,{Fraction(10**50, math.factorial(10))}"),
+        ],
+    )
+    def test_large_n(self, runner, argv, row):
+        result = runner.invoke(main, ["tables", *argv.split(), "--format", "csv"])
+        assert result.exit_code == 0
+        assert row in result.output.splitlines()
 
     def test_cap_rejected_with_message(self, runner):
         result = runner.invoke(main, ["tables", "sym-chars", "--k", "11"])
@@ -294,6 +309,25 @@ class TestVerifyCommand:
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
+    def test_perturbed_dim_char_sum_fails(self, runner, monkeypatch):
+        closed_form = rho_moments.verify.dim_char_sum
+
+        def corrupted(k, n):
+            # one K = 5 coefficient off by one: only the character-route check sees it
+            terms = closed_form(k, n).terms
+            if k == 5:
+                terms[(5,)] += 1
+            return PowerSumPoly(terms)
+
+        monkeypatch.setattr(rho_moments.verify, "dim_char_sum", corrupted)
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "quantum", "--samples", "5000", "--seed", "7", "--threads", "1"],
+        )
+        assert result.exit_code == 1
+        failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
+        assert failed == ["dim-char-sum-vs-characters"]
+
     def test_json_report_parses_for_quantum_checks(self, runner):
         # quantum checks compute their verdicts as numpy bools
         argv = "verify --suite quantum --samples 5000 --seed 7 --threads 1 --format json"
@@ -425,6 +459,7 @@ def test_readme_example_prints_its_value(runner, command, value):
 IMPORT_GRAPH_SCRIPT = """
 import shlex
 import sys
+from rho_moments.characters import PowerSumPoly
 from rho_moments.cli import main
 
 def scipy_loaded():

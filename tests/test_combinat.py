@@ -94,6 +94,15 @@ class TestEnumeration:
     def test_cycle_types_k1(self):
         assert [c.counts for c in enumerate_cycle_types(1)] == [(1,)]
 
+    def test_cycle_types_k0_is_the_empty_class(self):
+        (empty,) = enumerate_cycle_types(0)
+        assert empty == CycleType(()) == CycleType.from_cycle_lengths(())
+        assert (class_order(empty), empty.cycles(), empty.boxes()) == (1, 0, 0)
+
+    def test_cycle_types_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_cycle_types(-1)
+
     def test_cycle_types_table_order(self):
         labels = [c.label() for c in enumerate_cycle_types(4)]
         assert labels == ["1^4", "1^2,2", "1,3", "2^2", "4"]

@@ -1,12 +1,13 @@
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from rho_moments.combinat import CycleType, lower_triangle_count
+from rho_moments.characters import unitary_char_eval
+from rho_moments.combinat import CycleType, enumerate_partitions, lower_triangle_count
 from rho_moments.errors import CapExceededError
 from rho_moments.quantum import (
     EntryMomentSpec,
@@ -22,7 +23,7 @@ from rho_moments.quantum import (
     purity_mean,
 )
 
-from oracles import entry_moment_oracle, exact_det, moment_traces_oracle
+from oracles import entry_moment_oracle, exact_det, hook_content_dim, moment_traces_oracle
 
 F = Fraction
 
@@ -122,6 +123,19 @@ class TestMgfCoefficient:
     def test_identity_series_term(self, n, k):
         # At A = I the K-th coefficient must be 1/K! so the series sums to e
         assert mgf_coefficient(k, n, np.eye(n)) == pytest.approx(1 / factorial(k))
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_character_route(self, n, k):
+        # the paper's sum over shapes of dim * character, evaluated at A
+        rng = np.random.default_rng(10 * n + k)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        total = sum(
+            hook_content_dim(irrep.parts, n) * unitary_char_eval(irrep, a)
+            for irrep in enumerate_partitions(k, n)
+        )
+        expected = total / perm(k + n * n - 1, k)
+        assert abs(mgf_coefficient(k, n, a) - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("n", (2, 3))
     @pytest.mark.parametrize("k", range(1, 5))
