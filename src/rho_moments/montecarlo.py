@@ -210,9 +210,11 @@ def sample_density_batch(n: int, count: int, rng: np.random.Generator) -> np.nda
         raise ValueError("n must be positive")
     if count < 0:
         raise ValueError("count must be non-negative")
-    g = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+    z = rng.standard_normal((2, count, n, n))  # real and imaginary parts; then conj(G), same bytes
+    g = np.empty((count, n, n), dtype=complex)
+    g.real, g.imag = z
     g *= np.sqrt(0.5)
-    gram = np.einsum("sij,skj->sik", g, g.conj())
+    gram = np.einsum("sij,skj->sik", g, np.conjugate(g, out=z.reshape(-1).view(complex).reshape(g.shape)))
     traces = np.einsum("sii->s", gram).real
     bad = traces < 1e-300
     while np.any(bad):
@@ -224,7 +226,7 @@ def sample_density_batch(n: int, count: int, rng: np.random.Generator) -> np.nda
         gram[bad] = np.einsum("sij,skj->sik", g_new, g_new.conj())
         traces = np.einsum("sii->s", gram).real
         bad = traces < 1e-300
-    return gram / traces[:, None, None]
+    return np.divide(gram, traces[:, None, None], out=gram)
 
 
 def sample_density(n: int, rng: np.random.Generator) -> np.ndarray:

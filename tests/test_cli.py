@@ -357,6 +357,45 @@ class TestThreadResolution:
         assert resolve_workers(None) >= 1
 
 
+class TestMmapThreshold:
+    def test_every_command_pins_it(self, runner, monkeypatch):
+        import rho_moments.cli
+
+        calls = []
+        monkeypatch.setattr(rho_moments.cli, "pin_mmap_threshold", lambda: calls.append(1))
+        result = runner.invoke(main, ["verify", "--suite", "classical", "--samples", "100"])
+        assert result.exit_code in (0, 1), result.output
+        assert calls == [1]
+
+    def test_sets_glibc_threshold(self, monkeypatch):
+        import rho_moments.cli
+
+        calls = []
+
+        class FakeLibc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+
+        monkeypatch.setattr(rho_moments.cli.sys, "platform", "linux")
+        monkeypatch.setattr(rho_moments.cli.ctypes, "CDLL", lambda name: FakeLibc())
+        rho_moments.cli.pin_mmap_threshold()
+        assert calls == [(-3, 2 << 20)]
+
+    def test_libc_without_mallopt_is_left_alone(self, monkeypatch):
+        import rho_moments.cli
+
+        monkeypatch.setattr(rho_moments.cli.sys, "platform", "linux")
+        monkeypatch.setattr(rho_moments.cli.ctypes, "CDLL", lambda name: object())
+        rho_moments.cli.pin_mmap_threshold()
+
+    def test_other_platforms_untouched(self, monkeypatch):
+        import rho_moments.cli
+
+        monkeypatch.setattr(rho_moments.cli.sys, "platform", "darwin")
+        monkeypatch.setattr(rho_moments.cli.ctypes, "CDLL", lambda name: pytest.fail("libc opened"))
+        rho_moments.cli.pin_mmap_threshold()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

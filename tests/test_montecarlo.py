@@ -44,6 +44,18 @@ class TestSampleDensity:
         assert float(np.abs(np.einsum("sii->s", batch) - 1.0).max()) <= 1e-12
         assert float(np.linalg.eigvalsh(batch).min()) >= -1e-10
 
+    @pytest.mark.parametrize("n", (1, 2, 3, 8))
+    def test_matches_gram_of_complex_gaussians_bit_for_bit(self, n):
+        # the sampler builds G in place; it must draw the same stream and give
+        # the same bits as G = (re + 1j*im)/sqrt(2), rho = G G^H / tr(G G^H)
+        batch = sample_density_batch(n, 1000, np.random.default_rng(n))
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((1000, n, n)) + 1j * rng.standard_normal((1000, n, n))
+        g *= np.sqrt(0.5)
+        gram = np.einsum("sij,skj->sik", g, g.conj())
+        expected = gram / np.einsum("sii->s", gram).real[:, None, None]
+        assert batch.tobytes() == expected.tobytes()
+
     def test_mean_diagonal_entry(self):
         rng = np.random.default_rng(7)
         batch = sample_density_batch(3, 200_000, rng)
