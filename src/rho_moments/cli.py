@@ -35,7 +35,6 @@ from .quantum import DEFAULT_BOX_CAP, EntryMomentSpec
 __all__ = ["main"]
 
 DEFAULT_TABLE_CAP = 10
-THREADS_ENV_VAR = "RHO_MOMENTS_THREADS"
 FORMATS = click.Choice(["json", "csv", "markdown"])
 MC_OPTION = click.option(
     "--mc",
@@ -45,7 +44,7 @@ MC_OPTION = click.option(
     help=f"Attach a Monte Carlo report (SAMPLES >= {montecarlo.MIN_SAMPLES}, SEED >= 0).",
 )
 THREADS_OPTION = click.option(
-    "--threads", type=int, default=None, help=f"Worker count (default: {THREADS_ENV_VAR} or machine)."
+    "--threads", type=int, default=os.cpu_count() or 1, help="Worker count (default: the CPU count)."
 )
 
 
@@ -59,19 +58,6 @@ def pin_mmap_threshold() -> None:
     """
     if sys.platform.startswith("linux"):
         getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)(-3, 2 << 20)  # -3: M_MMAP_THRESHOLD
-
-
-def resolve_workers(threads: int | None) -> int:
-    """CLI flag, then the environment variable, then machine parallelism."""
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise click.ClickException(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def parse_rational(text: str, label: str) -> Fraction:
@@ -246,6 +232,11 @@ def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
     if k < 0 or (which != "dim-char-sum" and k < 1):
         raise click.BadParameter("k must be positive (dim-char-sum allows 0)")
     check_table_cap(k, cap_k)
+    if n is not None and k * n.bit_length() > MAX_EXACT_BITS:
+        # no printed value exceeds about n^k
+        raise click.ClickException(
+            f"--n to the power k={k} is above the exact-arithmetic limit, the size of {MAX_FACTORIAL_ARG}!"
+        )
 
     if which == "sym-chars":
         classes = enumerate_cycle_types(k)
@@ -316,7 +307,7 @@ def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
         samples, seed = mc
         estimate = montecarlo.estimate_dirichlet_moment if dirichlet else montecarlo.estimate_simplex_moment
         try:
-            report = estimate(spec, samples, seed, workers=resolve_workers(threads))
+            report = estimate(spec, samples, seed, workers=threads)
         except ValueError as exc:
             raise click.BadParameter(str(exc), param_hint="'--mc'") from exc
         doc["mc_report"] = mc_report_json(report)
@@ -355,9 +346,7 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
     }
     if mc is not None:
         samples, seed = mc
-        report = montecarlo.estimate_entry_moment(
-            spec, samples, seed, workers=resolve_workers(threads)
-        )
+        report = montecarlo.estimate_entry_moment(spec, samples, seed, workers=threads)
         doc["mc_report"] = mc_report_json(report)
     emit_query(fmt, doc)
 
@@ -378,8 +367,7 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
 @click.pass_context
 def cmd_verify(ctx, suite, samples, seed, threads, fmt) -> None:
     """Run the self-check suites; exit 0 only if every check passes."""
-    workers = resolve_workers(threads)
-    results = verify.run_suite(suite, samples, seed, workers)
+    results = verify.run_suite(suite, samples, seed, threads)
     all_passed = all(r.passed for r in results)
     if fmt == "json":
         checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]

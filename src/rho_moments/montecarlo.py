@@ -6,10 +6,10 @@ realizes the flat trace-one ensemble, which the purity, entry-moment, and
 eigenvalue-law checks validate rather than assume. Every estimator builds its
 per-sample consumers and exact targets and hands them to one streaming path,
 which the KS check shares: the samples are cut into fixed-size chunks, chunk c
-is drawn from its own stream ``SeedSequence(seed, spawn_key=(c,))``, worker w
-of W draws chunks w, w+W, ..., and the per-chunk results are combined in chunk
-order. A report therefore depends on the seed alone; the worker count changes
-only the speed.
+is drawn from its own stream ``SeedSequence(seed, spawn_key=(c,))`` in a thread
+pool task of its own, and the per-chunk results are combined in chunk order. A
+report therefore depends on the seed alone; the worker count changes only the
+speed.
 
 scipy is imported in ``_kstest`` alone, on first use: its exact Kolmogorov
 distribution gives the KS p-value, and nothing else here needs scipy, so the
@@ -158,8 +158,8 @@ def _chunk_results(
     """``consume(batch)`` for each chunk of ``samples`` draws of ``width`` entries, in chunk order.
 
     Chunk c is drawn from ``SeedSequence(seed, spawn_key=(c,))``, the c-th child
-    of ``SeedSequence(seed).spawn``; each of W = min(workers, chunk count, cpu
-    count) pool threads draws chunks w, w+W, ... in one task.
+    of ``SeedSequence(seed).spawn``, in one pool task; the pool has
+    min(workers, chunk count, cpu count) threads, and at least one.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"at least {MIN_SAMPLES} samples are required")
@@ -167,18 +167,12 @@ def _chunk_results(
     chunks = -(-samples // size)
     workers = min(max(1, int(workers)), chunks, os.cpu_count() or 1)
 
-    def chunk(c: int) -> np.ndarray:
+    def chunk(c: int) -> object:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
-        return draw(min(size, samples - c * size), rng)
-
-    def work(first: int) -> list:
-        # The loop keeps the previous chunk alive while the next is drawn, so
-        # the allocator reuses its memory instead of faulting in fresh pages.
-        return [consume(batch) for batch in map(chunk, range(first, chunks, workers))]
+        return consume(draw(min(size, samples - c * size), rng))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(work, range(workers)))
-    return [parts[c % workers][c // workers] for c in range(chunks)]
+        return list(pool.map(chunk, range(chunks)))
 
 
 def _estimate(
@@ -210,20 +204,20 @@ def sample_density_batch(n: int, count: int, rng: np.random.Generator) -> np.nda
         raise ValueError("n must be positive")
     if count < 0:
         raise ValueError("count must be non-negative")
-    z = rng.standard_normal((2, count, n, n))  # real and imaginary parts; then conj(G), same bytes
-    g = np.empty((count, n, n), dtype=complex)
-    g.real, g.imag = z
-    g *= np.sqrt(0.5)
-    gram = np.einsum("sij,skj->sik", g, np.conjugate(g, out=z.reshape(-1).view(complex).reshape(g.shape)))
+
+    def build(rows: int) -> np.ndarray:
+        """G G^dagger for ``rows`` fresh draws of G."""
+        z = rng.standard_normal((2, rows, n, n))  # real and imaginary parts; then conj(G), same bytes
+        g = np.empty((rows, n, n), dtype=complex)
+        g.real, g.imag = z
+        g *= np.sqrt(0.5)
+        return np.einsum("sij,skj->sik", g, np.conjugate(g, out=z.reshape(-1).view(complex).reshape(g.shape)))
+
+    gram = build(count)
     traces = np.einsum("sii->s", gram).real
     bad = traces < 1e-300
     while np.any(bad):
-        count_bad = int(bad.sum())
-        g_new = (
-            rng.standard_normal((count_bad, n, n))
-            + 1j * rng.standard_normal((count_bad, n, n))
-        ) * np.sqrt(0.5)
-        gram[bad] = np.einsum("sij,skj->sik", g_new, g_new.conj())
+        gram[bad] = build(int(bad.sum()))
         traces = np.einsum("sii->s", gram).real
         bad = traces < 1e-300
     return np.divide(gram, traces[:, None, None], out=gram)
@@ -335,6 +329,15 @@ def _float_targets(exact, scale, power: int, count: int) -> tuple[complex, float
         raise ValueError("the exact value or the sample weight does not fit a float") from exc
 
 
+def _monomial(weight: float, exponents: Sequence[int], coords: np.ndarray) -> np.ndarray:
+    """weight * prod_b coords[:, b] ** exponents[b] for each sample row."""
+    value = np.full(coords.shape[0], weight)
+    for b, e in enumerate(exponents):
+        if e:
+            value *= coords[:, b] ** e
+    return value
+
+
 def estimate_simplex_moment(
     spec: SimplexMomentSpec, samples: int, seed: int, *, workers: int = 1
 ) -> EstimateReport:
@@ -347,13 +350,7 @@ def estimate_simplex_moment(
     n_b = len(spec.exponents)
     exact, _, weight = _float_targets(classical.simplex_moment(spec), spec.scale, spec.degree(), n_b - 1)
 
-    def consume(batch: np.ndarray) -> np.ndarray:
-        value = np.full(batch.shape[0], weight)
-        for b, e in enumerate(spec.exponents):
-            if e:
-                value *= batch[:, b] ** e
-        return value
-
+    consume = partial(_monomial, weight, spec.exponents)
     return _estimate(partial(sample_simplex_batch, n_b), n_b, [consume], [exact], samples, seed, workers)[0]
 
 
@@ -371,10 +368,7 @@ def estimate_dirichlet_moment(
 
     def consume(batch: np.ndarray) -> np.ndarray:
         coords = lam * batch[:, :n_big]
-        value = np.full(coords.shape[0], volume)
-        for b, e in enumerate(spec.exponents):
-            if e:
-                value *= coords[:, b] ** e
+        value = _monomial(volume, spec.exponents, coords)
         if spec.weight_power:
             value *= coords.sum(axis=1) ** spec.weight_power
         return value

@@ -41,7 +41,7 @@ class CheckResult:
 def _z_check(name: str, report: montecarlo.EstimateReport) -> CheckResult:
     return CheckResult(
         name,
-        report.z_score <= Z_MAX,
+        report.passed(Z_MAX),
         f"z={report.z_score:.2f} (exact={report.exact_value.real:.6g}, "
         f"estimate={report.estimate.real:.6g}, n={report.sample_count})",
     )

@@ -142,6 +142,26 @@ class TestSampleSimplex:
         assert batch.min() >= 0.0
         np.testing.assert_allclose(batch.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_underflowed_row_is_redrawn(self):
+        rng = np.random.default_rng(3)
+        draws = []
+
+        class FirstRowZero:
+            # the first draw zeroes row 0, so that row's sum underflows
+            def standard_exponential(self, shape):
+                x = rng.standard_exponential(shape)
+                if not draws:
+                    x[0] = 0.0
+                draws.append(x.copy())
+                return x
+
+        batch = sample_simplex_batch(3, 4, FirstRowZero())
+        assert [d.shape for d in draws] == [(4, 3), (1, 3)]
+        assert batch[0].min() >= 0.0
+        assert batch[0].sum() == pytest.approx(1.0, abs=1e-12)
+        assert batch[0].tobytes() == (draws[1][0] / draws[1][0].sum()).tobytes()
+        assert batch[1:].tobytes() == (draws[0][1:] / draws[0][1:].sum(axis=1)[:, None]).tobytes()
+
     def test_two_components_marginal_is_uniform(self):
         rng = np.random.default_rng(2)
         batch = sample_simplex_batch(2, 20000, rng)

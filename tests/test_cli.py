@@ -86,6 +86,13 @@ class TestTablesCommand:
         assert result.exit_code == 0
         assert row in result.output.splitlines()
 
+    @pytest.mark.parametrize("which", ("dims", "dim-char-sum"))
+    def test_n_beyond_the_exact_budget_is_resource_error(self, runner, which):
+        # 10 * 12001 bits of n^10 pass the budget, the bit size of 10000!
+        result = runner.invoke(main, ["tables", which, "--k", "10", "--n", str(2**12000)])
+        assert result.exit_code == 1
+        assert "exact-arithmetic limit" in result.output
+
     def test_cap_rejected_with_message(self, runner):
         result = runner.invoke(main, ["tables", "sym-chars", "--k", "11"])
         assert result.exit_code == 1
@@ -225,9 +232,10 @@ class TestQmomentCommand:
     def test_mc_output_is_independent_of_thread_count(self, runner):
         argv = ["qmoment", "--n", "2", "--entries", "1,2 2,1", "--mc", "1000000", "42"]
         one = runner.invoke(main, argv + ["--threads", "1"])
-        two = runner.invoke(main, argv + ["--threads", "2"])
         assert one.exit_code == 0, one.output
-        assert two.stdout_bytes == one.stdout_bytes
+        # the default is the CPU count, and a count below 1 means one worker
+        for threads in (["--threads", "2"], [], ["--threads", "0"], ["--threads", "-2"]):
+            assert runner.invoke(main, argv + threads).stdout_bytes == one.stdout_bytes
 
     def test_out_of_range_pair_names_offender(self, runner):
         result = runner.invoke(main, ["qmoment", "--n", "2", "--entries", "1,1 2,3"])
@@ -344,17 +352,6 @@ class TestVerifyCommand:
     def test_tiny_sample_count_is_usage_error(self, runner):
         result = runner.invoke(main, ["verify", "--samples", "10"])
         assert result.exit_code == 2
-
-
-class TestThreadResolution:
-    def test_env_var_fallback(self, runner, monkeypatch):
-        from rho_moments.cli import resolve_workers
-
-        monkeypatch.setenv("RHO_MOMENTS_THREADS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(2) == 2
-        monkeypatch.delenv("RHO_MOMENTS_THREADS")
-        assert resolve_workers(None) >= 1
 
 
 class TestMmapThreshold:

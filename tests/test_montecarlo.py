@@ -56,6 +56,34 @@ class TestSampleDensity:
         expected = gram / np.einsum("sii->s", gram).real[:, None, None]
         assert batch.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_underflowed_row_is_redrawn(self, n):
+        rng = np.random.default_rng(n)
+        draws = []
+
+        class FirstRowZero:
+            # the first draw zeroes row 0, so that row's trace underflows
+            def standard_normal(self, shape):
+                z = rng.standard_normal(shape)
+                if not draws:
+                    z[:, 0] = 0.0
+                draws.append(z.copy())  # the sampler overwrites z with conj(G)
+                return z
+
+        batch = sample_density_batch(n, 5, FirstRowZero())
+        assert [d.shape for d in draws] == [(2, 5, n, n), (2, 1, n, n)]
+        rho = batch[0]
+        assert float(np.abs(rho - rho.conj().T).max()) <= 1e-12
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+
+        def normalised(z):
+            g = (z[0] + 1j * z[1]) * np.sqrt(0.5)
+            gram = np.einsum("sij,skj->sik", g, g.conj())
+            return gram / np.einsum("sii->s", gram).real[:, None, None]
+
+        assert rho.tobytes() == normalised(draws[1])[0].tobytes()
+        assert batch[1:].tobytes() == normalised(draws[0][:, 1:]).tobytes()
+
     def test_mean_diagonal_entry(self):
         rng = np.random.default_rng(7)
         batch = sample_density_batch(3, 200_000, rng)
