@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -128,11 +129,22 @@ def sample_simplex_batch(n_components: int, count: int, rng: np.random.Generator
     if n_components == 1:
         return np.ones((count, 1))
     draws = rng.standard_exponential((count, n_components))
-    totals = draws.sum(axis=1)
-    bad = totals < 1e-300
-    while np.any(bad):
-        replacement = rng.standard_exponential((int(bad.sum()), n_components))
-        draws[bad] = replacement
-        totals = draws.sum(axis=1)
-        bad = totals < 1e-300
+    totals = _redraw_underflowed(
+        draws, lambda d: d.sum(axis=1), lambda rows: rng.standard_exponential((rows, n_components))
+    )
     return draws / totals[:, None]
+
+
+def _redraw_underflowed(
+    batch: np.ndarray, totals: Callable[[np.ndarray], np.ndarray], draw: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """Redraw the rows of ``batch`` whose total is below 1e-300 until none is; return the totals.
+
+    ``totals(batch)`` gives one total per row and ``draw(rows)`` that many fresh
+    rows; the underflowed rows are redrawn together, in row order.
+    """
+    sums = totals(batch)
+    while np.any(bad := sums < 1e-300):
+        batch[bad] = draw(int(bad.sum()))
+        sums = totals(batch)
+    return sums

@@ -1,9 +1,12 @@
 """Command-line surface: character tables, moment queries, verification suites.
 
-Exact values never pass through floating point on their way to the output:
-JSON carries {numerator, denominator, twopi_exponent} triples, CSV and
-markdown print ``p/q`` strings. Monte Carlo reports are floats by nature and
-are attached separately.
+Exact values stay ``Fraction`` or ``quantum.ScaledRational`` until they are
+rendered, so they never pass through floating point: JSON encodes each as a
+{numerator, denominator, twopi_exponent} triple through ``exact_json``, CSV
+and markdown print ``str(value)``, that is ``p/q`` followed by ``·(2π)^e``
+when e is not 0. Monte Carlo reports are floats by nature and are attached
+separately. A ``CapExceededError`` from any command, a request past a cap or
+the exact-arithmetic budget, exits 1 with its message.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 import click
 
@@ -28,14 +32,16 @@ from .characters import (
     weyl_dim,
 )
 from .classical import DirichletSpec, SimplexMomentSpec
-from .combinat import MAX_EXACT_BITS, MAX_FACTORIAL_ARG, class_order, enumerate_cycle_types, enumerate_partitions
+from .combinat import check_exact_bits, class_order, enumerate_cycle_types, enumerate_partitions
 from .errors import CapExceededError
-from .quantum import DEFAULT_BOX_CAP, EntryMomentSpec
+from .quantum import DEFAULT_BOX_CAP, EntryMomentSpec, ScaledRational
 
 __all__ = ["main"]
 
 DEFAULT_TABLE_CAP = 10
-FORMATS = click.Choice(["json", "csv", "markdown"])
+FORMAT_OPTION = click.option(
+    "--format", "fmt", type=click.Choice(["json", "csv", "markdown"]), default="markdown", show_default=True
+)
 MC_OPTION = click.option(
     "--mc",
     type=(click.IntRange(min=montecarlo.MIN_SAMPLES), click.IntRange(min=0)),
@@ -73,10 +79,7 @@ def parse_rational(text: str, label: str) -> Fraction:
         digits = sum(c.isdigit() for c in mantissa) + (
             int(exponent or 0) if len(exponent.lstrip("0")) < 10 else math.inf
         )
-        if digits * math.log2(10) > MAX_EXACT_BITS:
-            raise click.ClickException(
-                f"{label} is above the exact-arithmetic limit, the size of {MAX_FACTORIAL_ARG}!"
-            )
+        check_exact_bits(digits * math.log2(10), label)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise click.BadParameter(f"{label} must be a rational like 3 or 5/2, got {text!r}") from exc
@@ -104,17 +107,32 @@ def parse_entry_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def fraction_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
-def rational_json(value: Fraction | int, twopi_exponent: int = 0) -> dict:
-    value = Fraction(value)
+def exact_json(value: int | Fraction | ScaledRational) -> dict:
+    """The JSON triple of an exact value; ``json.dumps`` calls it on every value it cannot encode."""
+    if not isinstance(value, ScaledRational):
+        value = ScaledRational(value)  # a TypeError for anything but a rational
     return {
-        "numerator": value.numerator,
-        "denominator": value.denominator,
-        "twopi_exponent": twopi_exponent,
+        "numerator": value.rational.numerator,
+        "denominator": value.rational.denominator,
+        "twopi_exponent": value.twopi_exponent,
     }
+
+
+def echo_json(doc: dict) -> None:
+    click.echo(json.dumps(doc, indent=2, default=exact_json))
+
+
+def echo_csv(rows: Iterable[Iterable]) -> None:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    click.echo(buffer.getvalue(), nl=False)
+
+
+def echo_aligned(pairs: list[tuple[str, str]]) -> None:
+    """One ``key  value`` line per pair, the keys padded to one width."""
+    width = max(len(key) for key, _ in pairs)
+    for key, value in pairs:
+        click.echo(f"{key.ljust(width)}  {value}")
 
 
 def mc_report_json(report: montecarlo.EstimateReport) -> dict:
@@ -130,85 +148,59 @@ def mc_report_json(report: montecarlo.EstimateReport) -> dict:
 def emit_table(fmt: str, name: str, meta: dict, columns: list[str], rows: list[list]) -> None:
     """Render one table whose first column holds labels and the rest exact values."""
     if fmt == "json":
-        payload_rows = []
-        for row in rows:
-            cells = {}
-            for col, cell in zip(columns, row):
-                cells[col] = cell if isinstance(cell, str) else rational_json(cell)
-            payload_rows.append(cells)
-        doc = {"table": name, **meta, "columns": columns, "rows": payload_rows}
-        click.echo(json.dumps(doc, indent=2))
-    elif fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else fraction_str(cell) for cell in row])
-        click.echo(buffer.getvalue(), nl=False)
-    else:
-        text_rows = [columns] + [
-            [cell if isinstance(cell, str) else fraction_str(cell) for cell in row]
+        payload_rows = [
+            {col: cell if isinstance(cell, str) else exact_json(cell) for col, cell in zip(columns, row)}
             for row in rows
         ]
-        widths = [max(len(r[i]) for r in text_rows) for i in range(len(columns))]
-        header, *body = text_rows
-        click.echo("| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |")
-        click.echo("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-        for row in body:
-            click.echo("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
+        echo_json({"table": name, **meta, "columns": columns, "rows": payload_rows})
+        return
+    text_rows = [columns] + [[str(cell) for cell in row] for row in rows]
+    if fmt == "csv":
+        echo_csv(text_rows)
+        return
+    widths = [max(len(r[i]) for r in text_rows) for i in range(len(columns))]
+    header, *body = text_rows
+    click.echo("| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |")
+    click.echo("|" + "|".join("-" * (w + 2) for w in widths) + "|")
+    for row in body:
+        click.echo("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
+
+
+def flatten(node, prefix: str = ""):
+    """(dotted key, text) per leaf of a nested document; a list is one leaf of space-joined items."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from flatten(child, f"{prefix}.{key}" if prefix else key)
+    else:
+        yield prefix, " ".join(map(str, node)) if isinstance(node, list) else str(node)
 
 
 def emit_query(fmt: str, doc: dict) -> None:
     """Render a single-result document: query fields, exact value, optional extras."""
     if fmt == "json":
-        click.echo(json.dumps(doc, indent=2))
-        return
-    flat: list[tuple[str, str]] = []
-
-    def flatten(prefix: str, node) -> None:
-        if isinstance(node, dict):
-            if set(node) == {"numerator", "denominator", "twopi_exponent"}:
-                value = Fraction(node["numerator"], node["denominator"])
-                text = fraction_str(value)
-                if node["twopi_exponent"]:
-                    text += f"·(2π)^{node['twopi_exponent']}"
-                flat.append((prefix, text))
-                return
-            for key, child in node.items():
-                flatten(f"{prefix}.{key}" if prefix else key, child)
-        elif isinstance(node, list):
-            flat.append((prefix, " ".join(str(x) for x in node)))
-        else:
-            flat.append((prefix, str(node)))
-
-    flatten("", doc)
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow([k for k, _ in flat])
-        writer.writerow([v for _, v in flat])
-        click.echo(buffer.getvalue(), nl=False)
+        echo_json(doc)
+    elif fmt == "csv":
+        echo_csv(zip(*flatten(doc)))
     else:
-        width = max(len(k) for k, _ in flat)
-        for key, value in flat:
-            click.echo(f"{key.ljust(width)}  {value}")
+        echo_aligned(list(flatten(doc)))
 
 
-def check_table_cap(k: int, cap: int) -> None:
-    if k > cap:
-        raise click.ClickException(
-            f"k={k} exceeds the table cap {cap}; pass --cap-k to override "
-            "(character tables grow with the partition count)"
-        )
-    if cap > DEFAULT_TABLE_CAP:
-        click.echo(
-            f"warning: cap raised above {DEFAULT_TABLE_CAP}; table size grows "
-            "factorially with k",
-            err=True,
-        )
+def warn_raised_cap(cap: int, default: int, cost: str) -> None:
+    if cap > default:
+        click.echo(f"warning: cap raised above {default}; {cost}", err=True)
 
 
-@click.group()
+class ResourceLimitGroup(click.Group):
+    """Ends every command that raises ``CapExceededError`` with exit 1 and the error's message."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except CapExceededError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=ResourceLimitGroup)
 def main() -> None:
     """Exact moments of the flat density-matrix ensemble and the simplex."""
     # Exact values print in full, their size bounded by the budget in ``combinat``;
@@ -225,18 +217,21 @@ def main() -> None:
 @click.option(
     "--n", type=click.IntRange(min=1), default=None, help="Matrix dimension N (dims, dim-char-sum)."
 )
-@click.option("--format", "fmt", type=FORMATS, default="markdown", show_default=True)
-@click.option("--cap-k", type=int, default=DEFAULT_TABLE_CAP, show_default=True)
+@FORMAT_OPTION
+@click.option("--cap-k", type=click.IntRange(min=0), default=DEFAULT_TABLE_CAP, show_default=True)
 def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
     """Print character/dimension tables; K <= 4 reproduces the reference tables."""
     if k < 0 or (which != "dim-char-sum" and k < 1):
         raise click.BadParameter("k must be positive (dim-char-sum allows 0)")
-    check_table_cap(k, cap_k)
-    if n is not None and k * n.bit_length() > MAX_EXACT_BITS:
-        # no printed value exceeds about n^k
-        raise click.ClickException(
-            f"--n to the power k={k} is above the exact-arithmetic limit, the size of {MAX_FACTORIAL_ARG}!"
+    if k > cap_k:
+        raise CapExceededError(
+            f"k={k} exceeds the table cap {cap_k}; pass --cap-k to override "
+            "(character tables grow with the partition count)"
         )
+    warn_raised_cap(cap_k, DEFAULT_TABLE_CAP, "table size grows factorially with k")
+    if n is not None:
+        # no printed value exceeds about n^k
+        check_exact_bits(k * n.bit_length(), f"--n to the power k={k}")
 
     if which == "sym-chars":
         classes = enumerate_cycle_types(k)
@@ -275,7 +270,7 @@ def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
 @click.option("--f-power", type=int, default=0, show_default=True, help="Weight power m in f(t)=t^m (Dirichlet only).")
 @MC_OPTION
 @THREADS_OPTION
-@click.option("--format", "fmt", type=FORMATS, default="markdown", show_default=True)
+@FORMAT_OPTION
 def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
     """Exact simplex/Dirichlet moment for the given exponents and scale."""
     exponents = parse_exponents(nu)
@@ -291,17 +286,15 @@ def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
             exact = classical.simplex_moment(spec)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
-    except CapExceededError as exc:
-        raise click.ClickException(str(exc)) from exc
 
     doc = {
         "query": {
             "integral": "dirichlet" if dirichlet else "simplex",
             "nu": list(exponents),
-            "lambda": rational_json(scale),
+            "lambda": scale,
             **({"f_power": f_power} if dirichlet else {}),
         },
-        "exact_value": rational_json(exact),
+        "exact_value": exact,
     }
     if mc is not None:
         samples, seed = mc
@@ -319,8 +312,8 @@ def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
 @click.option("--entries", required=True, help='Index pairs like "1,1 1,2" (1-based).')
 @MC_OPTION
 @THREADS_OPTION
-@click.option("--cap-k", type=int, default=DEFAULT_BOX_CAP, show_default=True)
-@click.option("--format", "fmt", type=FORMATS, default="markdown", show_default=True)
+@click.option("--cap-k", type=click.IntRange(min=0), default=DEFAULT_BOX_CAP, show_default=True)
+@FORMAT_OPTION
 def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
     """Exact mean of a product of density-matrix entries."""
     pairs = parse_entry_pairs(entries)
@@ -328,21 +321,12 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
         spec = EntryMomentSpec(n, pairs)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
-    if cap_k > DEFAULT_BOX_CAP:
-        click.echo(
-            f"warning: cap raised above {DEFAULT_BOX_CAP}; the permutation sum "
-            "costs 2^K*K chain steps plus 3^K terms",
-            err=True,
-        )
-    try:
-        exact = quantum.entry_moment(spec, max_boxes=cap_k)
-        raw = quantum.hs_volume(n) * exact
-    except CapExceededError as exc:
-        raise click.ClickException(str(exc)) from exc
+    warn_raised_cap(cap_k, DEFAULT_BOX_CAP, "the permutation sum costs 2^K*K chain steps plus 3^K terms")
+    exact = quantum.entry_moment(spec, max_boxes=cap_k)
     doc = {
         "query": {"n": n, "entries": [list(p) for p in pairs]},
-        "exact_value": rational_json(exact),
-        "raw_value": rational_json(raw.rational, raw.twopi_exponent),
+        "exact_value": exact,
+        "raw_value": quantum.hs_volume(n) * exact,
     }
     if mc is not None:
         samples, seed = mc
@@ -363,24 +347,22 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
 )
 @click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
 @THREADS_OPTION
-@click.option("--format", "fmt", type=FORMATS, default="markdown", show_default=True)
+@FORMAT_OPTION
 @click.pass_context
 def cmd_verify(ctx, suite, samples, seed, threads, fmt) -> None:
     """Run the self-check suites; exit 0 only if every check passes."""
     results = verify.run_suite(suite, samples, seed, threads)
     all_passed = all(r.passed for r in results)
+    rows = [[r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]
     if fmt == "json":
         checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-        doc = {"suite": suite, "samples": samples, "seed": seed, "checks": checks}
-        emit_query(fmt, {**doc, "all_passed": all_passed})
+        echo_json(
+            {"suite": suite, "samples": samples, "seed": seed, "checks": checks, "all_passed": all_passed}
+        )
     elif fmt == "csv":
-        rows = [[r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]
-        emit_table(fmt, "verify", {}, ["check", "passed", "detail"], rows)
+        echo_csv([["check", "passed", "detail"], *rows])
     else:
-        width = max(len(r.name) for r in results)
-        for r in results:
-            status = "pass" if r.passed else "FAIL"
-            click.echo(f"{r.name.ljust(width)}  {status}  {r.detail}")
+        echo_aligned([(name, f"{status}  {detail}") for name, status, detail in rows])
         click.echo(
             f"{sum(r.passed for r in results)}/{len(results)} checks passed "
             f"(suite={suite}, samples={samples}, seed={seed})"

@@ -20,6 +20,7 @@ __all__ = [
     "class_order",
     "MAX_EXACT_BITS",
     "MAX_FACTORIAL_ARG",
+    "check_exact_bits",
     "bounded_factorial",
     "bounded_power",
     "vandermonde",
@@ -213,6 +214,14 @@ MAX_FACTORIAL_ARG = 10000
 MAX_EXACT_BITS = int(lgamma(MAX_FACTORIAL_ARG + 1) / log(2))
 
 
+def check_exact_bits(bits: float, what: str) -> None:
+    """Refuse an exact value of more than ``MAX_EXACT_BITS`` bits; ``what`` names it."""
+    if bits > MAX_EXACT_BITS:
+        raise CapExceededError(
+            f"{what} is above the exact-arithmetic limit, the size of {MAX_FACTORIAL_ARG}!"
+        )
+
+
 def bounded_factorial(n: int) -> int:
     """n!, refusing arguments above ``MAX_FACTORIAL_ARG``."""
     if n > MAX_FACTORIAL_ARG:
@@ -224,11 +233,7 @@ def bounded_power(base: Fraction, exponent: int) -> Fraction:
     """base**exponent, refusing results of more than ``MAX_EXACT_BITS`` bits."""
     base = Fraction(base)
     bits = max(abs(base.numerator), base.denominator).bit_length() - 1
-    if exponent * bits > MAX_EXACT_BITS:
-        raise CapExceededError(
-            f"a {bits + 1}-bit base to the power {exponent} is above the exact-arithmetic "
-            f"limit, the size of {MAX_FACTORIAL_ARG}!"
-        )
+    check_exact_bits(exponent * bits, f"a {bits + 1}-bit base to the power {exponent}")
     return base**exponent
 
 

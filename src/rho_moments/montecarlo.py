@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import classical, quantum
-from .classical import DirichletSpec, SimplexMomentSpec, sample_simplex_batch
+from .classical import DirichletSpec, SimplexMomentSpec, _redraw_underflowed, sample_simplex_batch
 from .quantum import EntryMomentSpec, mgf_coefficient
 
 __all__ = [
@@ -55,6 +55,9 @@ _CHUNK_ENTRIES = 1 << 20
 
 # Every estimator and the KS check refuses smaller sample counts.
 MIN_SAMPLES = 100
+# Largest remainder bound of the truncated series ``estimate_mgf`` compares
+# against: well under the 4-sigma resolution of any accepted sample count.
+MGF_TRUNCATION_TOL = 1e-5
 
 # A sampler bound to its shape: draw(count, rng) returns ``count`` samples.
 _Draw = Callable[[int, np.random.Generator], np.ndarray]
@@ -214,12 +217,7 @@ def sample_density_batch(n: int, count: int, rng: np.random.Generator) -> np.nda
         return np.einsum("sij,skj->sik", g, np.conjugate(g, out=z.reshape(-1).view(complex).reshape(g.shape)))
 
     gram = build(count)
-    traces = np.einsum("sii->s", gram).real
-    bad = traces < 1e-300
-    while np.any(bad):
-        gram[bad] = build(int(bad.sum()))
-        traces = np.einsum("sii->s", gram).real
-        bad = traces < 1e-300
+    traces = _redraw_underflowed(gram, lambda g: np.einsum("sii->s", g).real, build)
     return np.divide(gram, traces[:, None, None], out=gram)
 
 
@@ -282,21 +280,13 @@ def estimate_purity(n: int, samples: int, seed: int, *, workers: int = 1) -> Est
 
 
 def estimate_mgf(
-    a: np.ndarray,
-    truncation: int,
-    samples: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    truncation_tol: float = 1e-5,
+    a: np.ndarray, truncation: int, samples: int, seed: int, *, workers: int = 1
 ) -> EstimateReport:
     """Sample mean of exp(tr(A rho)) against the truncated coefficient series.
 
     ``a`` must be Hermitian and small enough that the series remainder bound
-    ||A||^(truncation+1) / (truncation+1)! stays below ``truncation_tol``;
-    otherwise the comparison would be biased by the cut tail. The default
-    tolerance sits well under the 4-sigma resolution of any sample count the
-    estimator accepts.
+    ||A||^(truncation+1) / (truncation+1)! stays below ``MGF_TRUNCATION_TOL``;
+    otherwise the comparison would be biased by the cut tail.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -308,9 +298,9 @@ def estimate_mgf(
     n = a.shape[0]
     norm = float(np.abs(np.linalg.eigvalsh(a)).max()) if n else 0.0
     bound = norm ** (truncation + 1) / math.factorial(truncation + 1)
-    if bound > truncation_tol:
+    if bound > MGF_TRUNCATION_TOL:
         raise ValueError(
-            f"truncation remainder bound {bound:.3e} exceeds {truncation_tol:.1e}; "
+            f"truncation remainder bound {bound:.3e} exceeds {MGF_TRUNCATION_TOL:.1e}; "
             "shrink a or raise the truncation order"
         )
     series = sum(mgf_coefficient(k, n, a) for k in range(truncation + 1))

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import factorial
+from itertools import permutations, product
+from math import factorial, prod
 
 import numpy as np
 
 from . import classical, montecarlo, quantum
 from .characters import dim_char_sum, unitary_char_poly, weyl_dim
 from .classical import DirichletSpec, SimplexMomentSpec
-from .combinat import CycleType, enumerate_cycle_types, enumerate_partitions, lower_triangle_count
+from .combinat import CycleType, enumerate_cycle_types, enumerate_partitions
 from .quantum import EntryMomentSpec
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
@@ -135,14 +135,17 @@ def _quantum_checks(samples: int, seed: int, workers: int) -> list[CheckResult]:
     checks.append(CheckResult("closed-form-k1", worst_k1 <= 1e-10, f"max delta={worst_k1:.2e}"))
     checks.append(CheckResult("closed-form-k2", worst_k2 <= 1e-10, f"max delta={worst_k2:.2e}"))
 
-    lemma_ok = True
-    for n in range(1, 4):
-        for beta in product(range(4), repeat=n):
-            lhs = quantum.int_lemma_value(beta) * factorial(
-                sum(beta) + lower_triangle_count(n) + n - 1
-            )
-            if lhs != quantum.det_lemma_value(beta):
-                lemma_ok = False
+    # det_lemma_value against its definition, det M[i, j] = (i + beta_j)!, as a Leibniz sum
+    lemma_ok = all(
+        quantum.det_lemma_value(beta)
+        == sum(
+            (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+            * prod(factorial(i + beta[j]) for i, j in enumerate(perm))
+            for perm in permutations(range(n))
+        )
+        for n in range(1, 4)
+        for beta in product(range(4), repeat=n)
+    )
     checks.append(CheckResult("det-vs-int-lemma", lemma_ok, "beta entries <= 3, N <= 3"))
 
     # the paper's route: dimension times character, summed over every K-box shape

@@ -21,10 +21,30 @@ from rho_moments.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 README = Path(__file__).parents[1] / "README.md"
 
+# Recorded stdout of each command in every format, as fixtures/<name>.<json|csv|md>.
+QUERY_FIXTURES = {
+    "qmoment_offdiag": "qmoment --n 2 --entries '1,2 2,1'",
+    "qmoment_composite": "qmoment --n 2 --entries '1,1 1,1 1,2'",
+    "simplex": "simplex --nu 2,0,1 --lambda 1",
+    "simplex_dirichlet": "simplex --nu 2,0 --dirichlet --f-power 0",
+    "tables_dims": "tables dims --k 2 --n 4",
+    "tables_dim_char_sum": "tables dim-char-sum --k 4 --n 3",
+    "verify_classical": "verify --suite classical --samples 1000 --seed 1 --threads 1",
+}
+FORMAT_SUFFIXES = {"json": "json", "csv": "csv", "markdown": "md"}
+
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.mark.parametrize("fmt", FORMAT_SUFFIXES)
+@pytest.mark.parametrize("name", QUERY_FIXTURES)
+def test_output_fixture_bytes(runner, name, fmt):
+    result = runner.invoke(main, shlex.split(QUERY_FIXTURES[name]) + ["--format", fmt])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (FIXTURES / f"{name}.{FORMAT_SUFFIXES[fmt]}").read_bytes()
 
 
 class TestTablesCommand:
@@ -248,6 +268,14 @@ class TestQmomentCommand:
         assert result.exit_code == 1
         assert "cap" in result.output
 
+    def test_cap_exceeded_by_the_mc_report_is_resource_error(self, runner):
+        # --cap-k raises the exact engine's cap; the estimator's exact target keeps the default
+        entries = " ".join(["1,1"] * 9)
+        argv = ["qmoment", "--n", "2", "--entries", entries, "--cap-k", "9", "--mc", "1000", "1", "--threads", "1"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert "Error: K = 9 exceeds the cap of 8;" in result.stderr
+
     def test_volume_beyond_the_exact_budget_is_resource_error(self, runner):
         result = runner.invoke(main, ["qmoment", "--n", "1000", "--entries", "1,1"])
         assert result.exit_code == 1
@@ -336,6 +364,22 @@ class TestVerifyCommand:
         failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
         assert failed == ["dim-char-sum-vs-characters"]
 
+    def test_perturbed_det_lemma_fails(self, runner, monkeypatch):
+        definition = rho_moments.quantum.det_lemma_value
+
+        def corrupted(beta):
+            # one beta off by one: only the Leibniz-determinant check sees it
+            return definition(beta) + (tuple(beta) == (0, 2, 3))
+
+        monkeypatch.setattr(rho_moments.quantum, "det_lemma_value", corrupted)
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "quantum", "--samples", "5000", "--seed", "7", "--threads", "1"],
+        )
+        assert result.exit_code == 1
+        failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
+        assert failed == ["det-vs-int-lemma"]
+
     def test_json_report_parses_for_quantum_checks(self, runner):
         # quantum checks compute their verdicts as numpy bools
         argv = "verify --suite quantum --samples 5000 --seed 7 --threads 1 --format json"
@@ -405,6 +449,8 @@ class TestMmapThreshold:
         ["verify", "--seed", "-1"],
         ["simplex", "--nu", "1,2", "--lambda", "1e400", "--mc", "100", "1"],
         ["simplex", "--nu", "400", "--lambda", "10", "--mc", "100", "1"],
+        ["tables", "sym-chars", "--k", "3", "--cap-k", "-5"],
+        ["qmoment", "--n", "2", "--entries", "1,1", "--cap-k", "-1"],
     ],
 )
 def test_bad_input_is_usage_error(runner, argv):
