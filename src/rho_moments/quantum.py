@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .characters import dim_char_sum, eval_power_sums
-from .combinat import CycleType, bounded_factorial, lower_triangle_count, super_factorial, vandermonde
+from .combinat import CycleType, bounded_factorial, class_order, lower_triangle_count, super_factorial, vandermonde
 from .errors import CapExceededError
 
 __all__ = [
@@ -48,7 +48,8 @@ __all__ = [
 ]
 
 # Largest K accepted per call: the permutation sums cost 2^K K chain steps plus
-# 3^K terms, ``omega_expand`` lists all K! permutations. Overridable per call.
+# 3^K terms, ``omega_expand`` lists the K!/z_mu distinct cycle words of its
+# class. Overridable per call.
 DEFAULT_BOX_CAP = 8
 
 
@@ -268,31 +269,34 @@ def mgf_coefficient(k: int, n: int, a: np.ndarray) -> complex:
     return complex(Fraction(1, _rising_product(k, n)) * total)
 
 
+def _cycle_words(rest: tuple[int, ...], owed: tuple[int, ...]):
+    """Splits of ``rest`` into owed[L-1] cycles of each length L, each led by its minimum, in that order."""
+    if not rest:
+        yield ()  # nothing is owed either, so the loop below is empty
+    for length in [L for L, count in enumerate(owed, start=1) if count]:
+        left = owed[: length - 1] + (owed[length - 1] - 1,) + owed[length:]
+        for chosen in combinations(rest[1:], length - 1):
+            for tail in _cycle_words(tuple(i for i in rest[1:] if i not in chosen), left):
+                for order in permutations(chosen):
+                    yield ((rest[0], *order), *tail)
+
+
 def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CAP) -> TraceProductExpr:
     """Expand a power-sum monomial into its sum of trace products.
 
     The derivative operator prod_j (C_j . d/dA) turns the class monomial
-    t_1^{i_1} t_2^{i_2} ... into a sum over all K! assignments of the
-    observables into cycles of the class pattern; collected terms carry
-    integer multiplicities summing to K!.
+    t_1^{i_1} t_2^{i_2} ... into a sum over the K! assignments of the
+    observables into cycles of the class pattern: K!/z_mu distinct cycle
+    words, each arising z_mu = prod_L L^{i_L} i_L! times, listed once here.
     """
     if monomial.boxes() != k:
         raise ValueError(f"monomial has box weight {monomial.boxes()}, expected {k}")
     if k > max_boxes:
         raise CapExceededError(
-            f"expansion of {k} boxes needs {k}! permutation terms; cap is {max_boxes}"
+            f"K = {k} exceeds the cap of {max_boxes}; K!/z_mu = {class_order(monomial)} distinct terms"
         )
-    lengths = monomial.cycle_lengths()
-    terms: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    for perm in permutations(range(1, k + 1)):
-        cycles = []
-        at = 0
-        for length in lengths:
-            cycles.append(_canonical_cycle(perm[at : at + length]))
-            at += length
-        key = tuple(sorted(cycles))
-        terms[key] = terms.get(key, Fraction(0)) + 1
-    return TraceProductExpr(k, terms)
+    z = Fraction(math.factorial(k), class_order(monomial))
+    return TraceProductExpr(k, dict.fromkeys(_cycle_words(tuple(range(1, k + 1)), monomial.counts), z))
 
 
 def _validated_observables(observables: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:

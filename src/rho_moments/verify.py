@@ -163,22 +163,18 @@ def _quantum_checks(samples: int, seed: int, workers: int) -> list[CheckResult]:
         CheckResult("dim-char-sum-vs-characters", cauchy_ok, "K <= 6, N <= 4, every class, exact")
     )
 
-    omega_ok = True
-    for k in (1, 2, 3):
-        poly = dim_char_sum(k, 2)
-        for pairs in product(product((1, 2), repeat=2), repeat=k):
-            spec = EntryMomentSpec(2, pairs)
-            direct = quantum.entry_moment(spec)
-            via_omega = Fraction(0)
-            for key, coeff in poly.terms.items():
-                expansion = quantum.omega_expand(CycleType(key), k)
-                via_omega += coeff * expansion.evaluate_entry_pairs(pairs)
-            via_omega *= Fraction(factorial(3), factorial(k + 3))
-            if via_omega != direct:
-                omega_ok = False
-    checks.append(
-        CheckResult("entry-vs-omega-route", omega_ok, "K <= 3, N = 2, exhaustive, exact")
+    # the derivative route: each class monomial of dim_char_sum expanded into trace words
+    routes = {
+        k: [(c, quantum.omega_expand(CycleType(key), k)) for key, c in dim_char_sum(k, 2).terms.items()]
+        for k in (1, 2, 3)
+    }
+    omega_ok = all(
+        Fraction(factorial(3), factorial(k + 3)) * sum(c * e.evaluate_entry_pairs(pairs) for c, e in routes[k])
+        == quantum.entry_moment(EntryMomentSpec(2, pairs))
+        for k in (1, 2, 3)
+        for pairs in product(product((1, 2), repeat=2), repeat=k)
     )
+    checks.append(CheckResult("entry-vs-omega-route", omega_ok, "K <= 3, N = 2, exhaustive, exact"))
 
     a = 0.25 * _random_hermitian(2, rng)
     report = montecarlo.estimate_mgf(a, 6, samples, seed + 300, workers=workers)

@@ -2,9 +2,9 @@
 
 Nothing here may call into the code paths it checks: determinants are
 cofactor expansions, dimensions come from the hook-content formula, ensemble
-moments list all K! permutations, dimension-weighted character sums go over
-irreps as in the paper, and integrals go through scipy quadrature in the tests
-themselves.
+moments and class-monomial expansions list all K! permutations,
+dimension-weighted character sums go over irreps as in the paper, and
+integrals go through scipy quadrature in the tests themselves.
 """
 
 from fractions import Fraction
@@ -91,6 +91,26 @@ def permutation_sum(k, n, cycle_weight):
             value = value * n * cycle_weight(tuple(cycle))
         total = total + value
     return total
+
+
+def omega_expand_oracle(monomial, k):
+    """Terms of ``omega_expand`` over all of S_K, keyed like ``TraceProductExpr.terms``.
+
+    Each permutation is cut into consecutive runs of the class's cycle lengths;
+    each run is rotated to lead with its minimum, the runs are sorted, and
+    repeats are counted.
+    """
+    terms = {}
+    for perm in permutations(range(1, k + 1)):
+        cycles, at = [], 0
+        for length in monomial.cycle_lengths():
+            run = perm[at : at + length]
+            pivot = run.index(min(run))
+            cycles.append(run[pivot:] + run[:pivot])
+            at += length
+        key = tuple(sorted(cycles))
+        terms[key] = terms.get(key, Fraction(0)) + 1
+    return terms
 
 
 def ensemble_normalization(k, n):

@@ -380,6 +380,25 @@ class TestVerifyCommand:
         failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
         assert failed == ["det-vs-int-lemma"]
 
+    def test_perturbed_omega_expand_fails(self, runner, monkeypatch):
+        expand = rho_moments.quantum.omega_expand
+
+        def corrupted(monomial, k, **kwargs):
+            # one cycle word of the 3-cycle class lost: only the derivative route sees it
+            terms = expand(monomial, k, **kwargs).terms
+            if monomial.counts == (0, 0, 1):
+                del terms[max(terms)]
+            return rho_moments.quantum.TraceProductExpr(k, terms)
+
+        monkeypatch.setattr(rho_moments.quantum, "omega_expand", corrupted)
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "quantum", "--samples", "5000", "--seed", "7", "--threads", "1"],
+        )
+        assert result.exit_code == 1
+        failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
+        assert failed == ["entry-vs-omega-route"]
+
     def test_json_report_parses_for_quantum_checks(self, runner):
         # quantum checks compute their verdicts as numpy bools
         argv = "verify --suite quantum --samples 5000 --seed 7 --threads 1 --format json"

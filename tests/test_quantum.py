@@ -1,13 +1,13 @@
 import itertools
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, perm, prod
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from rho_moments.characters import unitary_char_eval
-from rho_moments.combinat import CycleType, enumerate_partitions, lower_triangle_count
+from rho_moments.combinat import CycleType, enumerate_cycle_types, enumerate_partitions, lower_triangle_count
 from rho_moments.errors import CapExceededError
 from rho_moments.quantum import (
     EntryMomentSpec,
@@ -23,7 +23,7 @@ from rho_moments.quantum import (
     purity_mean,
 )
 
-from oracles import entry_moment_oracle, exact_det, hook_content_dim, moment_traces_oracle
+from oracles import entry_moment_oracle, exact_det, hook_content_dim, moment_traces_oracle, omega_expand_oracle
 
 F = Fraction
 
@@ -181,6 +181,31 @@ class TestOmegaExpand:
         expr = omega_expand(CycleType((0, 1)), 2)  # t2 pattern
         expected = 2 * np.trace(mats[0] @ mats[1])
         assert expr.evaluate(mats) == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "monomial, k",
+        [(c, k) for k in range(8) for c in enumerate_cycle_types(k)]
+        # the exact-large benchmark expands (1, 2, 4) at K = 7, above, and this class
+        + [(CycleType((2, 1, 0, 1)), 8)],
+        ids=str,
+    )
+    def test_matches_permutation_oracle(self, monomial, k):
+        expr = omega_expand(monomial, k)
+        oracle = omega_expand_oracle(monomial, k)
+        assert expr == TraceProductExpr(k, oracle)
+        # benchmark goldens hash this repr, so the coefficients stay Fractions
+        assert repr(sorted(expr.terms.items())) == repr(sorted(oracle.items()))
+        z = prod(length**m * factorial(m) for length, m in enumerate(monomial.counts, start=1))
+        assert len(expr.terms) == factorial(k) // z
+        assert all(type(c) is F and c == z for c in expr.terms.values())
+
+    def test_cap_refuses_nine_boxes_by_default(self):
+        with pytest.raises(CapExceededError, match=r"K = 9 exceeds the cap of 8; K!/z_mu = 40320 distinct"):
+            omega_expand(CycleType((0,) * 8 + (1,)), 9)
+
+    def test_raised_cap_accepts_nine_fixed_points(self):
+        expr = omega_expand(CycleType((9,)), 9, max_boxes=9)
+        assert expr.terms == {tuple((i,) for i in range(1, 10)): F(factorial(9))}
 
 
 class TestTraceProductExpr:
