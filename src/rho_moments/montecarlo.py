@@ -7,9 +7,11 @@ eigenvalue-law checks validate rather than assume. Every estimator builds its
 per-sample consumers and exact targets and hands them to one streaming path,
 which the KS check shares: the samples are cut into fixed-size chunks, chunk c
 is drawn from its own stream ``SeedSequence(seed, spawn_key=(c,))`` in a thread
-pool task of its own, and the per-chunk results are combined in chunk order. A
-report therefore depends on the seed alone; the worker count changes only the
-speed.
+pool task of its own. For the estimators each chunk reduces to one float64
+array of sums, Σre, Σim, Σre² and Σim² of each consumer's values, and these
+arrays are added in chunk order into one array of totals, from which each
+report is read. A report therefore depends on the seed alone; the worker count
+changes only the speed.
 
 scipy is imported in ``_kstest`` alone, on first use: its exact Kolmogorov
 distribution gives the KS p-value, and nothing else here needs scipy, so the
@@ -91,66 +93,27 @@ class KsReport:
     seed: int
 
 
-class _MeanAccumulator:
-    """Streaming component-wise mean/variance for complex samples."""
-
-    __slots__ = ("count", "sum_re", "sum_im", "sumsq_re", "sumsq_im")
-
-    def __init__(self):
-        self.count = 0
-        self.sum_re = 0.0
-        self.sum_im = 0.0
-        self.sumsq_re = 0.0
-        self.sumsq_im = 0.0
-
-    def add(self, values: np.ndarray) -> None:
-        re = np.real(values)
-        im = np.imag(values)
-        self.count += values.size
-        self.sum_re += float(re.sum())
-        self.sum_im += float(im.sum())
-        self.sumsq_re += float((re * re).sum())
-        self.sumsq_im += float((im * im).sum())
-
-    def merge(self, other: "_MeanAccumulator") -> None:
-        self.count += other.count
-        self.sum_re += other.sum_re
-        self.sum_im += other.sum_im
-        self.sumsq_re += other.sumsq_re
-        self.sumsq_im += other.sumsq_im
-
-    def mean(self) -> complex:
-        return complex(self.sum_re / self.count, self.sum_im / self.count)
-
-    def std_errors(self) -> tuple[float, float]:
-        n = self.count
-        if n < 2:
-            return (float("inf"), float("inf"))
-        var_re = max(self.sumsq_re - self.sum_re**2 / n, 0.0) / (n - 1)
-        var_im = max(self.sumsq_im - self.sum_im**2 / n, 0.0) / (n - 1)
-        return (math.sqrt(var_re / n), math.sqrt(var_im / n))
-
-
-def _component_z(delta: float, se: float, scale: float) -> float:
+def _component(total: float, total_sq: float, count: int, exact: float, scale: float) -> tuple[float, float]:
+    """Standard error and z-score of the mean total / count of one component against ``exact``."""
+    se = math.sqrt(max(total_sq - total**2 / count, 0.0) / (count - 1) / count)
+    delta = abs(total / count - exact)
     if se > 0.0:
-        return abs(delta) / se
-    return 0.0 if abs(delta) <= 1e-12 * scale else float("inf")
+        return se, delta / se
+    return se, 0.0 if delta <= 1e-12 * scale else math.inf
 
 
-def _report(acc: _MeanAccumulator, exact: complex, seed: int) -> EstimateReport:
-    estimate = acc.mean()
-    se_re, se_im = acc.std_errors()
+def _report(sums: np.ndarray, count: int, exact: complex, seed: int) -> EstimateReport:
+    """The report of one consumer's row of sums, (Σre, Σim, Σre², Σim²) over ``count`` values."""
+    sum_re, sum_im, sumsq_re, sumsq_im = sums.tolist()
     scale = 1.0 + abs(exact)
-    z = max(
-        _component_z(estimate.real - exact.real, se_re, scale),
-        _component_z(estimate.imag - exact.imag, se_im, scale),
-    )
+    se_re, z_re = _component(sum_re, sumsq_re, count, exact.real, scale)
+    se_im, z_im = _component(sum_im, sumsq_im, count, exact.imag, scale)
     return EstimateReport(
-        estimate=estimate,
+        estimate=complex(sum_re / count, sum_im / count),
         std_error=max(se_re, se_im),
-        exact_value=complex(exact),
-        z_score=z,
-        sample_count=acc.count,
+        exact_value=exact,
+        z_score=max(z_re, z_im),
+        sample_count=count,
         seed=seed,
     )
 
@@ -184,17 +147,18 @@ def _estimate(
 ) -> list[EstimateReport]:
     """Mean of each consumer over ``samples`` draws, reported against ``exact``."""
 
-    def accumulate(batch: np.ndarray) -> list[_MeanAccumulator]:
-        accs = [_MeanAccumulator() for _ in consumers]
-        for acc, consume in zip(accs, consumers):
-            acc.add(consume(batch))
-        return accs
+    def chunk_sums(batch: np.ndarray) -> np.ndarray:
+        sums = np.empty((len(consumers), 4))
+        for row, consume in zip(sums, consumers):
+            values = consume(batch)
+            re, im = np.real(values), np.imag(values)
+            row[:] = re.sum(), im.sum(), (re * re).sum(), (im * im).sum()
+        return sums
 
-    combined = [_MeanAccumulator() for _ in consumers]
-    for chunk in _chunk_results(draw, width, samples, seed, workers, accumulate):
-        for acc, part in zip(combined, chunk):
-            acc.merge(part)
-    return [_report(acc, complex(x), seed) for acc, x in zip(combined, exact)]
+    total = np.zeros((len(consumers), 4))
+    for sums in _chunk_results(draw, width, samples, seed, workers, chunk_sums):
+        total += sums  # elementwise, in chunk order: the same float adds at any worker count
+    return [_report(row, samples, complex(x), seed) for row, x in zip(total, exact)]
 
 
 def sample_density_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

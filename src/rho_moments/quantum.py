@@ -114,24 +114,20 @@ class EntryMomentSpec:
         return EntryMomentSpec(self.dimension, tuple((j, i) for i, j in self.pairs))
 
 
-def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
-    pivot = min(range(len(cycle)), key=cycle.__getitem__)
-    return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
-
-
 class TraceProductExpr:
     """Formal sum of coefficient * products of trace factors.
 
     Each term is a tuple of cycles, each cycle an ordered tuple of 1-based
-    observable indices rotated so its smallest index leads; the cycles of a
-    term are sorted. Every index 1..K appears exactly once per term.
+    observable indices led by its smallest index; the cycles of a term are
+    sorted, and every index 1..K appears once. Terms must come in this form, as
+    ``omega_expand`` builds them; zero coefficients are dropped.
     """
 
     __slots__ = ("_order", "_terms")
 
     def __init__(self, order: int, terms: dict[tuple[tuple[int, ...], ...], Fraction] | None = None):
         self._order = int(order)
-        clean: dict[tuple[tuple[int, ...], ...], Fraction] = {}
+        self._terms: dict[tuple[tuple[int, ...], ...], Fraction] = {}
         for term, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if not coeff:
@@ -139,9 +135,9 @@ class TraceProductExpr:
             indices = sorted(i for cycle in term for i in cycle)
             if indices != list(range(1, self._order + 1)):
                 raise ValueError(f"term {term} does not cover indices 1..{self._order}")
-            key = tuple(sorted(_canonical_cycle(c) for c in term))
-            clean[key] = clean.get(key, Fraction(0)) + coeff
-        self._terms = {k: c for k, c in clean.items() if c}
+            if any(not cycle or cycle[0] != min(cycle) for cycle in term) or list(term) != sorted(term):
+                raise ValueError(f"term {term} is not canonical: sorted cycles, each led by its minimum")
+            self._terms[term] = coeff
 
     @property
     def order(self) -> int:
@@ -155,8 +151,8 @@ class TraceProductExpr:
         return sum(self._terms.values(), Fraction(0))
 
     def evaluate(self, observables: Sequence[np.ndarray]) -> complex:
-        """Plug concrete matrices into the trace factors."""
-        mats = [np.asarray(c, dtype=complex) for c in observables]
+        """Plug matrices, checked as ``moment_traces`` checks its observables, into the trace factors."""
+        mats = _validated_observables(observables)[0] if self._order else list(observables)
         if len(mats) != self._order:
             raise ValueError(f"expected {self._order} matrices, got {len(mats)}")
         cache: dict[tuple[int, ...], complex] = {}

@@ -335,3 +335,66 @@ class TestKsEigenvalueCheck:
     def test_cdf_shape(self):
         xs = np.array([0.0, 0.5, 0.75, 1.0, 2.0])
         np.testing.assert_allclose(larger_eigenvalue_cdf(xs), [0.0, 0.0, 0.125, 1.0, 1.0])
+
+
+# float.hex of (estimate.real, estimate.imag, std_error, exact_value.real,
+# exact_value.imag, z_score) and the sample count of each report, recorded with
+# 65537 samples, so every call reduces more than one chunk.
+PINNED_SAMPLES = 65537
+PINNED_REPORTS = {
+    "purity-n2": (
+        lambda m: [estimate_purity(2, m, 1)],
+        [("0x1.99adbf287efbbp-1", "0x0.0p+0", "0x1.0c48d59715f56p-11",
+          "0x1.999999999999ap-1", "0x0.0p+0", "0x1.33965ef63bd9fp-2")],
+    ),
+    "purity-n8": (
+        lambda m: [estimate_purity(8, m, 2)],
+        [("0x1.f81b1b0d04547p-3", "0x0.0p+0", "0x1.50d91c07a04abp-14",
+          "0x1.f81f81f81f820p-3", "0x0.0p+0", "0x1.ac38acb1dbf0dp-4")],
+    ),
+    "entries": (
+        lambda m: estimate_entry_moments(
+            [EntryMomentSpec(2, ((1, 1),)), EntryMomentSpec(2, ((1, 2),)), EntryMomentSpec(2, ((1, 2), (2, 1)))],
+            m, 3,
+        ),
+        [("0x1.005707e32c7cep-1", "0x0.0p+0", "0x1.ca0b597b26120p-11",
+          "0x1.0000000000000p-1", "0x0.0p+0", "0x1.852173ab19fcfp-1"),
+         ("0x1.e6b728d53df72p-12", "-0x1.9545c5008eacep-12", "0x1.ca4c3465e318dp-11",
+          "0x0.0p+0", "0x0.0p+0", "0x1.0fdfb5883803ap-1"),
+         ("0x1.9a27d6613bae9p-4", "-0x1.fc1c2dfeb451fp-67", "0x1.0c4972227e452p-12",
+          "0x1.999999999999ap-4", "0x0.0p+0", "0x1.c240a89e68c81p+0")],
+    ),
+    "mgf": (
+        lambda m: [estimate_mgf(np.diag([0.1, -0.1]), 6, m, 4)],
+        [("0x1.003b1ab355f8fp+0", "0x0.0p+0", "0x1.6e4ce6884f742p-13",
+          "0x1.00418f357f381p+0", "0x0.0p+0", "0x1.20b9ebcb8b6eap-1")],
+    ),
+    "simplex": (
+        lambda m: [estimate_simplex_moment(SimplexMomentSpec((2, 0, 1)), m, 5),
+                   estimate_simplex_moment(SimplexMomentSpec((3,)), m, 5)],
+        [("0x1.1057cc31b8f80p-6", "0x0.0p+0", "0x1.2370b576d1b98p-14",
+          "0x1.1111111111111p-6", "0x0.0p+0", "0x1.457aacb190686p-1"),
+         ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+          "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")],
+    ),
+    "dirichlet": (
+        lambda m: [estimate_dirichlet_moment(DirichletSpec((1, 0), 1, 2), m, 6)],
+        [("0x1.98a3312ba290ap-4", "0x0.0p+0", "0x1.a73761db8d862p-12",
+          "0x1.999999999999ap-4", "0x0.0p+0", "0x1.2a19a44b4921dp-1")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_reports_keep_their_bits(name):
+    reports, pinned = PINNED_REPORTS[name]
+    got = reports(PINNED_SAMPLES)
+    assert [
+        (r.estimate.real.hex(), r.estimate.imag.hex(), r.std_error.hex(),
+         r.exact_value.real.hex(), r.exact_value.imag.hex(), r.z_score.hex())
+        for r in got
+    ] == pinned
+    for r in got:
+        assert (type(r.estimate), type(r.exact_value)) == (complex, complex)
+        assert (type(r.std_error), type(r.z_score)) == (float, float)
+        assert r.sample_count == PINNED_SAMPLES

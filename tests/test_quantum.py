@@ -213,10 +213,34 @@ class TestTraceProductExpr:
         with pytest.raises(ValueError):
             TraceProductExpr(3, {((1, 2),): F(1)})
 
-    def test_canonicalizes_rotations(self):
-        a = TraceProductExpr(3, {((2, 3, 1),): F(1)})
-        b = TraceProductExpr(3, {((1, 2, 3),): F(1)})
-        assert a == b
+    @pytest.mark.parametrize("term", [((2, 3, 1),), ((3,), (1, 2))], ids=["rotated", "unsorted"])
+    def test_rejects_non_canonical_terms(self, term):
+        with pytest.raises(ValueError, match="not canonical"):
+            TraceProductExpr(3, {term: F(1)})
+
+    def test_drops_zero_coefficients_before_checking(self):
+        assert TraceProductExpr(3, {((2, 3, 1),): F(0), ((1, 2, 3),): F(1)}).terms == {((1, 2, 3),): F(1)}
+
+    @pytest.mark.parametrize(
+        "observables",
+        [[np.ones((2, 3))], [np.ones(2)], [np.array([[np.nan]])]],
+        ids=["non-square", "vector", "non-finite"],
+    )
+    def test_evaluate_rejects_observables_like_moment_traces(self, observables):
+        expr = omega_expand(CycleType((1,)), 1)
+        with pytest.raises(ValueError, match="observables must"):
+            expr.evaluate(observables)
+        with pytest.raises(ValueError, match="observables must"):
+            moment_traces(observables)
+
+    def test_evaluate_rejects_mixed_sizes(self):
+        with pytest.raises(ValueError, match="one dimension"):
+            omega_expand(CycleType((2,)), 2).evaluate([np.eye(2), np.eye(3)])
+
+    def test_empty_expression_evaluates_to_its_constant(self):
+        assert omega_expand(CycleType(()), 0).evaluate([]) == 1
+        with pytest.raises(ValueError, match="expected 0 matrices"):
+            omega_expand(CycleType(()), 0).evaluate([np.eye(2)])
 
     def test_entry_pair_evaluation(self):
         expr = TraceProductExpr(2, {((1, 2),): F(1)})
