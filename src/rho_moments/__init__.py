@@ -27,14 +27,11 @@ from .combinat import (
 from .characters import (
     PowerSumPoly,
     dim_char_sum,
-    eval_power_sums,
     sym_character,
-    unitary_char_eval,
     unitary_char_poly,
-    unitary_char_ratio,
     weyl_dim,
 )
-from .errors import CapExceededError, DegenerateSpectrumError
+from .errors import CapExceededError
 from .montecarlo import (
     EstimateReport,
     KsReport,
@@ -50,6 +47,7 @@ from .quantum import (
     TraceProductExpr,
     det_lemma_value,
     entry_moment,
+    eval_power_sums,
     hs_volume,
     int_lemma_value,
     mgf_coefficient,
@@ -72,9 +70,6 @@ __all__ = [
     "PowerSumPoly",
     "sym_character",
     "unitary_char_poly",
-    "eval_power_sums",
-    "unitary_char_eval",
-    "unitary_char_ratio",
     "weyl_dim",
     "dim_char_sum",
     "SimplexMomentSpec",
@@ -89,6 +84,7 @@ __all__ = [
     "hs_volume",
     "det_lemma_value",
     "int_lemma_value",
+    "eval_power_sums",
     "mgf_coefficient",
     "omega_expand",
     "moment_traces",
@@ -102,6 +98,5 @@ __all__ = [
     "estimate_mgf",
     "ks_eigenvalue_check",
     "CapExceededError",
-    "DegenerateSpectrumError",
     "__version__",
 ]

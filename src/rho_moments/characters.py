@@ -2,9 +2,10 @@
 
 Symmetric-group characters come from the Murnaghan-Nakayama border-strip
 recursion, memoized on (shape, remaining cycles). U(N) characters are carried
-either as exact polynomials in the trace power sums t_r = tr(A^r) or as the
-determinant ratio over the eigenvalues; the power-sum route is the recommended
-evaluator since it has no singularity at coinciding eigenvalues.
+as exact polynomials in the trace power sums t_r = tr(A^r): evaluated at the
+power sums of a matrix (``quantum.eval_power_sums``) they give the character
+there, with no singularity at coinciding eigenvalues. The paper's other form,
+Weyl's determinant ratio over the eigenvalues, is a test oracle.
 
 The dimension-weighted character sum needs no characters: s_lambda(1^N) = 0
 for shapes with more than N rows, so the Cauchy identity gives
@@ -20,25 +21,15 @@ from functools import cache
 from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .combinat import CycleType, Partition, class_order, enumerate_cycle_types, lower_triangle_count
-from .errors import DegenerateSpectrumError
+from .combinat import CycleType, Partition, class_order, enumerate_cycle_types
 
 __all__ = [
     "PowerSumPoly",
     "sym_character",
     "unitary_char_poly",
-    "eval_power_sums",
-    "unitary_char_eval",
-    "unitary_char_ratio",
     "weyl_dim",
     "dim_char_sum",
 ]
-
-# Relative scale for declaring a spectrum numerically degenerate in
-# unitary_char_ratio: |difference product| < 1e-12 * spread^(pair count).
-_DEGENERACY_RTOL = 1e-12
 
 
 def _strip_trailing_zeros(key: tuple[int, ...]) -> tuple[int, ...]:
@@ -83,10 +74,6 @@ class PowerSumPoly:
     def max_power_index(self) -> int:
         """Largest r such that t_r appears (0 for a constant)."""
         return max((len(k) for k in self._terms), default=0)
-
-    def box_weights(self) -> set[int]:
-        """The set of weights sum(r * i_r) over stored monomials."""
-        return {sum(r * e for r, e in enumerate(key, start=1)) for key in self._terms}
 
     def evaluate(self, power_sums: Sequence):
         """Evaluate with power_sums[r-1] supplying t_r.
@@ -184,80 +171,6 @@ def unitary_char_poly(irrep: Partition) -> PowerSumPoly:
         if coeff:
             terms[cls.counts] = coeff
     return PowerSumPoly(terms)
-
-
-def eval_power_sums(a: np.ndarray, max_r: int) -> list[complex]:
-    """(t_1, ..., t_max_r) with t_r = tr(a^r), by repeated multiplication."""
-    if max_r < 1:
-        raise ValueError("max_r must be positive")
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    power = np.eye(a.shape[0], dtype=complex)
-    out: list[complex] = []
-    for _ in range(max_r):
-        power = power @ a
-        out.append(complex(np.trace(power)))
-    return out
-
-
-def unitary_char_eval(irrep: Partition, a: np.ndarray) -> complex:
-    """Evaluate the U(N) character at a matrix via its power sums.
-
-    Shapes with more rows than the matrix dimension are rejected; the
-    power-sum polynomial would not vanish there even though the irrep does
-    not exist.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if irrep.rows() > n:
-        raise ValueError(f"shape {irrep} has more than {n} rows")
-    k = irrep.boxes()
-    if k == 0:
-        return 1.0 + 0.0j
-    ts = eval_power_sums(a, k)
-    return complex(unitary_char_poly(irrep).evaluate(ts))
-
-
-def unitary_char_ratio(irrep: Partition, eigenvalues: Sequence[complex]) -> complex:
-    """Determinant-ratio character from the eigenvalues of the matrix.
-
-    Numerator columns carry exponents eta_j + N-1-j; the denominator is the
-    difference product of the eigenvalues. Raises DegenerateSpectrumError when
-    the denominator is numerically indistinguishable from zero, since the
-    ratio is 0/0 at coinciding eigenvalues.
-    """
-    alpha = np.asarray(eigenvalues, dtype=complex).ravel()
-    n = alpha.size
-    if n < 1:
-        raise ValueError("at least one eigenvalue is required")
-    if irrep.rows() > n:
-        raise ValueError(f"shape {irrep} has more than {n} rows")
-
-    denom = 1.0 + 0.0j
-    spread = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = alpha[j] - alpha[i]
-            denom *= diff
-            spread = max(spread, abs(diff))
-    tol = _DEGENERACY_RTOL * spread ** lower_triangle_count(n) if n > 1 else 0.0
-    if n > 1 and abs(denom) <= tol:
-        raise DegenerateSpectrumError(
-            f"difference product {abs(denom):.3e} below tolerance {tol:.3e}; "
-            "use the power-sum evaluator for near-degenerate spectra"
-        )
-
-    # The formula's columns run over descending exponents; reversing them to
-    # the ascending difference product costs a sign of (-1)^{L_N}.
-    if lower_triangle_count(n) % 2:
-        denom = -denom
-    padded = irrep.padded(n)
-    exponents = np.array([padded[j] + n - 1 - j for j in range(n)])
-    numerator = np.linalg.det(alpha[:, None] ** exponents[None, :])
-    return complex(numerator / denom)
 
 
 def weyl_dim(irrep: Partition, n: int) -> int:

@@ -60,12 +60,6 @@ class Partition:
     def rows(self) -> int:
         return len(self._parts)
 
-    def padded(self, length: int) -> tuple[int, ...]:
-        """Parts padded with zeros to the given length; rejects truncation."""
-        if length < len(self._parts):
-            raise ValueError(f"cannot pad {self} to {length} rows")
-        return self._parts + (0,) * (length - len(self._parts))
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Partition):
             return self._parts == other._parts

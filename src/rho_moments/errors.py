@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["DegenerateSpectrumError", "CapExceededError"]
-
-
-class DegenerateSpectrumError(ValueError):
-    """Eigenvalues too close for a determinant-ratio evaluation to be trusted."""
+__all__ = ["CapExceededError"]
 
 
 class CapExceededError(RuntimeError):

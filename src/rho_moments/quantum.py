@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characters import dim_char_sum, eval_power_sums
+from .characters import dim_char_sum
 from .combinat import CycleType, bounded_factorial, class_order, lower_triangle_count, super_factorial, vandermonde
 from .errors import CapExceededError
 
@@ -40,6 +40,7 @@ __all__ = [
     "hs_volume",
     "det_lemma_value",
     "int_lemma_value",
+    "eval_power_sums",
     "mgf_coefficient",
     "omega_expand",
     "moment_traces",
@@ -64,9 +65,6 @@ class ScaledRational:
         object.__setattr__(self, "rational", Fraction(self.rational))
         exponent = int(self.twopi_exponent) if self.rational else 0
         object.__setattr__(self, "twopi_exponent", exponent)
-
-    def to_float(self) -> float:
-        return float(self.rational) * (2.0 * np.pi) ** self.twopi_exponent
 
     def __mul__(self, other):
         if isinstance(other, ScaledRational):
@@ -109,10 +107,6 @@ class EntryMomentSpec:
     def order(self) -> int:
         return len(self.pairs)
 
-    def swapped(self) -> "EntryMomentSpec":
-        """The spec with every (i, j) replaced by (j, i)."""
-        return EntryMomentSpec(self.dimension, tuple((j, i) for i, j in self.pairs))
-
 
 class TraceProductExpr:
     """Formal sum of coefficient * products of trace factors.
@@ -146,28 +140,6 @@ class TraceProductExpr:
     @property
     def terms(self) -> dict[tuple[tuple[int, ...], ...], Fraction]:
         return dict(self._terms)
-
-    def total_coefficient(self) -> Fraction:
-        return sum(self._terms.values(), Fraction(0))
-
-    def evaluate(self, observables: Sequence[np.ndarray]) -> complex:
-        """Plug matrices, checked as ``moment_traces`` checks its observables, into the trace factors."""
-        mats = _validated_observables(observables)[0] if self._order else list(observables)
-        if len(mats) != self._order:
-            raise ValueError(f"expected {self._order} matrices, got {len(mats)}")
-        cache: dict[tuple[int, ...], complex] = {}
-        total = 0.0 + 0.0j
-        for term, coeff in self._terms.items():
-            value = complex(coeff)
-            for cycle in term:
-                if cycle not in cache:
-                    prod = mats[cycle[0] - 1]
-                    for idx in cycle[1:]:
-                        prod = prod @ mats[idx - 1]
-                    cache[cycle] = complex(np.trace(prod))
-                value *= cache[cycle]
-            total += value
-        return total
 
     def evaluate_entry_pairs(self, pairs: Sequence[tuple[int, int]]) -> Fraction:
         """Evaluate with single-entry observables selecting rho[i_p, j_p].
@@ -229,10 +201,13 @@ def det_lemma_value(beta: Sequence[int]) -> int:
 
 
 def int_lemma_value(beta: Sequence[int]) -> Fraction:
-    """Ordered-simplex integral of the difference product times monomials.
+    """Integral of the difference product times monomials over the whole simplex.
 
+    The integral of prod_{i<j} (x_j - x_i) * prod_j x_j^beta_j over
+    x_1 + ... + x_N = 1, measured as ``classical.simplex_moment`` does, is
     prod(beta_j!) * diffprod(beta) / (sum(beta) + L_N + N - 1)! for an
-    N-vector beta.
+    N-vector beta. No ordering of the x_j is imposed: beta = (0, 1) gives 1/6,
+    where x_1 < x_2 alone gives 5/24.
     """
     beta = _check_beta(beta)
     n = len(beta)
@@ -243,6 +218,21 @@ def int_lemma_value(beta: Sequence[int]) -> Fraction:
 def _rising_product(k: int, n: int) -> int:
     """(K+N^2-1)! / (N^2-1)!, the inverse of the moment prefactor."""
     return math.perm(k + n * n - 1, k)
+
+
+def eval_power_sums(a: np.ndarray, max_r: int) -> list[complex]:
+    """(t_1, ..., t_max_r) with t_r = tr(a^r), by repeated multiplication."""
+    if max_r < 1:
+        raise ValueError("max_r must be positive")
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    power = np.eye(a.shape[0], dtype=complex)
+    out: list[complex] = []
+    for _ in range(max_r):
+        power = power @ a
+        out.append(complex(np.trace(power)))
+    return out
 
 
 def mgf_coefficient(k: int, n: int, a: np.ndarray) -> complex:

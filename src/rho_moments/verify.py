@@ -135,14 +135,18 @@ def _quantum_checks(samples: int, seed: int, workers: int) -> list[CheckResult]:
     checks.append(CheckResult("closed-form-k1", worst_k1 <= 1e-10, f"max delta={worst_k1:.2e}"))
     checks.append(CheckResult("closed-form-k2", worst_k2 <= 1e-10, f"max delta={worst_k2:.2e}"))
 
-    # det_lemma_value against its definition, det M[i, j] = (i + beta_j)!, as a Leibniz sum
-    lemma_ok = all(
-        quantum.det_lemma_value(beta)
-        == sum(
-            (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
-            * prod(factorial(i + beta[j]) for i, j in enumerate(perm))
-            for perm in permutations(range(n))
+    def leibniz(n, term):
+        """Sum over permutations p of range(n) of sgn(p) * term(p)."""
+        return sum(
+            (-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1 :]) * term(p) for p in permutations(range(n))
         )
+
+    # det_lemma_value against its definition, det M[i, j] = (i + beta_j)!, and int_lemma_value against
+    # the simplex integral of prod_j x_j^beta_j times the difference product det[x_j^i], both by Leibniz
+    lemma_ok = all(
+        quantum.det_lemma_value(beta) == leibniz(n, lambda p: prod(factorial(i + beta[j]) for i, j in enumerate(p)))
+        and quantum.int_lemma_value(beta)
+        == leibniz(n, lambda p: classical.simplex_moment(SimplexMomentSpec(tuple(b + e for b, e in zip(beta, p)))))
         for n in range(1, 4)
         for beta in product(range(4), repeat=n)
     )

@@ -1,7 +1,8 @@
 """Independent oracles used to pin golden values.
 
 Nothing here may call into the code paths it checks: determinants are
-cofactor expansions, dimensions come from the hook-content formula, ensemble
+cofactor expansions, dimensions come from the hook-content formula, U(N)
+characters are Weyl's determinant ratio over the eigenvalues, ensemble
 moments and class-monomial expansions list all K! permutations,
 dimension-weighted character sums go over irreps as in the paper, and
 integrals go through scipy quadrature in the tests themselves.
@@ -47,6 +48,17 @@ def hook_content_dim(parts, n):
             value *= Fraction(n + j - i, hook)
     assert value.denominator == 1
     return value.numerator
+
+
+def weyl_ratio_character(parts, eigenvalues):
+    """U(N) character of a shape with at most N rows, by Weyl's ratio at N distinct eigenvalues.
+
+    det[x_i^(eta_j + N-1-j)] / det[x_i^(N-1-j)]; it is 0/0 when eigenvalues coincide.
+    """
+    x = np.asarray(eigenvalues, dtype=complex)
+    steps = np.arange(x.size - 1, -1, -1)
+    eta = np.array(tuple(parts) + (0,) * (x.size - len(parts)))
+    return complex(np.linalg.det(x[:, None] ** (eta + steps)) / np.linalg.det(x[:, None] ** steps))
 
 
 def dim_char_sum_oracle(k, n):

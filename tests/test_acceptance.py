@@ -20,9 +20,7 @@ from scipy import integrate, stats
 from rho_moments.characters import (
     dim_char_sum,
     sym_character,
-    unitary_char_eval,
     unitary_char_poly,
-    unitary_char_ratio,
     weyl_dim,
 )
 from rho_moments.classical import (
@@ -50,12 +48,13 @@ from rho_moments.quantum import (
     EntryMomentSpec,
     det_lemma_value,
     entry_moment,
+    eval_power_sums,
     int_lemma_value,
     moment_traces,
     purity_mean,
 )
 
-from oracles import exact_det
+from oracles import exact_det, weyl_ratio_character
 from test_characters import (
     DIMENSION_POLYS,
     SYM_CHARACTER_TABLES,
@@ -132,8 +131,8 @@ def test_c05_frobenius_weyl_equality():
             continue
         irrep = shapes[int(rng.integers(0, len(shapes)))]
         a, alpha = random_distinct_spectrum_matrix(n, rng)
-        lhs = unitary_char_eval(irrep, a)
-        rhs = unitary_char_ratio(irrep, alpha)
+        lhs = unitary_char_poly(irrep).evaluate(eval_power_sums(a, k))
+        rhs = weyl_ratio_character(irrep.parts, alpha)
         worst = max(worst, abs(lhs - rhs) / (1 + abs(lhs)))
         checked += 1
     conclude(5, "determinant ratio equals power-sum expansion", worst <= 1e-8, f"worst={worst:.2e}")

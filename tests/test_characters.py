@@ -8,12 +8,9 @@ import pytest
 from rho_moments.characters import (
     PowerSumPoly,
     dim_char_sum,
-    eval_power_sums,
     monomial_label,
     sym_character,
-    unitary_char_eval,
     unitary_char_poly,
-    unitary_char_ratio,
     weyl_dim,
 )
 from rho_moments.combinat import (
@@ -23,9 +20,9 @@ from rho_moments.combinat import (
     enumerate_cycle_types,
     enumerate_partitions,
 )
-from rho_moments.errors import DegenerateSpectrumError
+from rho_moments.quantum import eval_power_sums
 
-from oracles import dim_char_sum_oracle, hook_content_dim
+from oracles import dim_char_sum_oracle, hook_content_dim, weyl_ratio_character
 
 F = Fraction
 
@@ -196,7 +193,8 @@ class TestUnitaryCharPoly:
     @pytest.mark.parametrize("k", range(1, 8))
     def test_homogeneous(self, k):
         for irrep in enumerate_partitions(k, k):
-            assert unitary_char_poly(irrep).box_weights() == {k}
+            weights = {sum(r * e for r, e in enumerate(key, start=1)) for key in unitary_char_poly(irrep).terms}
+            assert weights == {k}
 
     def test_rejects_empty_shape(self):
         with pytest.raises(ValueError):
@@ -216,48 +214,37 @@ class TestEvalPowerSums:
 
 
 class TestUnitaryCharEval:
+    """The power-sum polynomial evaluated at the power sums of a matrix."""
+
     def test_single_box_is_trace(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert unitary_char_eval(Partition((1,)), a) == pytest.approx(np.trace(a))
+        assert unitary_char_poly(Partition((1,))).evaluate(eval_power_sums(a, 1)) == pytest.approx(np.trace(a))
 
     def test_two_boxes_at_identity(self):
-        assert unitary_char_eval(Partition((2,)), np.eye(2)) == pytest.approx(3.0)
-
-    def test_empty_shape_is_one(self):
-        assert unitary_char_eval(Partition(()), np.eye(3)) == 1.0
-
-    def test_rows_beyond_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            unitary_char_eval(Partition((1, 1, 1)), np.eye(2))
+        assert unitary_char_poly(Partition((2,))).evaluate([2, 2]) == 3
 
     def test_matches_ratio_on_random_spectrum(self):
         rng = np.random.default_rng(11)
         a, alpha = random_distinct_spectrum_matrix(3, rng)
         for parts in [(1,), (2,), (2, 1), (1, 1, 1)]:
-            lhs = unitary_char_eval(Partition(parts), a)
-            rhs = unitary_char_ratio(Partition(parts), alpha)
+            lhs = unitary_char_poly(Partition(parts)).evaluate(eval_power_sums(a, sum(parts)))
+            rhs = weyl_ratio_character(parts, alpha)
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
 class TestUnitaryCharRatio:
+    """The Weyl-ratio oracle against hand expansions."""
+
     def test_single_box_two_eigenvalues(self):
         a, b = 0.3 + 0.1j, -1.2 + 0.7j
-        assert unitary_char_ratio(Partition((1,)), [a, b]) == pytest.approx(a + b)
+        assert weyl_ratio_character((1,), [a, b]) == pytest.approx(a + b)
 
     def test_two_boxes_two_eigenvalues(self):
         # expand (1/2)t1^2 + (1/2)t2 = a^2 + ab + b^2
         a, b = 0.9 - 0.4j, 0.2 + 1.1j
         expected = a * a + a * b + b * b
-        assert unitary_char_ratio(Partition((2,)), [a, b]) == pytest.approx(expected)
-
-    def test_repeated_eigenvalues_rejected(self):
-        with pytest.raises(DegenerateSpectrumError):
-            unitary_char_ratio(Partition((1,)), [1.0, 1.0])
-
-    def test_near_degenerate_rejected(self):
-        with pytest.raises(DegenerateSpectrumError):
-            unitary_char_ratio(Partition((1,)), [1.0, 1.0 + 1e-14, 2.0])
+        assert weyl_ratio_character((2,), [a, b]) == pytest.approx(expected)
 
 
 class TestWeylDim:
@@ -286,9 +273,7 @@ class TestWeylDim:
         for k in range(1, 6):
             for n in range(1, 6):
                 for irrep in enumerate_partitions(k, n):
-                    value = unitary_char_eval(irrep, np.eye(n))
-                    assert round(value.real) == weyl_dim(irrep, n)
-                    assert abs(value.imag) < 1e-9
+                    assert unitary_char_poly(irrep).evaluate([n] * k) == weyl_dim(irrep, n)
 
 
 class TestDimCharSum:

@@ -380,6 +380,22 @@ class TestVerifyCommand:
         failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
         assert failed == ["det-vs-int-lemma"]
 
+    def test_perturbed_int_lemma_fails(self, runner, monkeypatch):
+        integral = rho_moments.quantum.int_lemma_value
+
+        def corrupted(beta):
+            # one beta off by one: only the simplex-integral Leibniz sum sees it
+            return integral(beta) + (tuple(beta) == (0, 2, 3))
+
+        monkeypatch.setattr(rho_moments.quantum, "int_lemma_value", corrupted)
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "quantum", "--samples", "5000", "--seed", "7", "--threads", "1"],
+        )
+        assert result.exit_code == 1
+        failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
+        assert failed == ["det-vs-int-lemma"]
+
     def test_perturbed_omega_expand_fails(self, runner, monkeypatch):
         expand = rho_moments.quantum.omega_expand
 

@@ -41,11 +41,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((2, -1))
 
-    def test_padded(self):
-        assert Partition((2, 1)).padded(4) == (2, 1, 0, 0)
-        with pytest.raises(ValueError):
-            Partition((2, 1)).padded(1)
-
 
 class TestCycleType:
     def test_slot_normalization(self):
