@@ -13,9 +13,10 @@ arrays are added in chunk order into one array of totals, from which each
 report is read. A report therefore depends on the seed alone; the worker count
 changes only the speed.
 
-scipy is imported in ``_kstest`` alone, on first use: its exact Kolmogorov
-distribution gives the KS p-value, and nothing else here needs scipy, so the
-exact CLI paths and the estimators start without loading it.
+The KS p-value is Kolmogorov's limit law Q(lam) = 2 sum_j (-1)^(j-1)
+exp(-2 j^2 lam^2) at lam = z + 1/(6 sqrt(n)) + (z - 1)/(4n), z = sqrt(n) D, the
+small-sample correction of Vrbik (2018); it is off the exact distribution by at
+most 2e-4 at n = 100, 3e-5 at n = 1000 and 3e-7 at n = 1e5.
 """
 
 from __future__ import annotations
@@ -344,10 +345,15 @@ def larger_eigenvalue_cdf(x) -> np.ndarray:
 
 def _kstest(values: np.ndarray) -> tuple[float, float]:
     """KS statistic and p-value of ``values`` against ``larger_eigenvalue_cdf``."""
-    from scipy import stats
-
-    result = stats.kstest(values, larger_eigenvalue_cdf)
-    return float(result.statistic), float(result.pvalue)
+    n = len(values)
+    cdf = larger_eigenvalue_cdf(np.sort(values))
+    statistic = float(max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max()))
+    z = math.sqrt(n) * statistic
+    lam = z + 1.0 / (6.0 * math.sqrt(n)) + (z - 1.0) / (4.0 * n)
+    if lam < 0.2:  # Q(0.2) = 1 - 5e-13, and the series below needs ever more terms as lam falls to 0
+        return statistic, 1.0
+    p_value = 2.0 * sum((-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam) for j in range(1, 101))
+    return statistic, min(max(p_value, 0.0), 1.0)
 
 
 def _larger_eigenvalue(batch: np.ndarray) -> np.ndarray:

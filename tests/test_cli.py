@@ -576,26 +576,25 @@ def test_readme_example_prints_its_value(runner, command, value):
 IMPORT_GRAPH_SCRIPT = """
 import shlex
 import sys
+sys.modules["scipy"] = None  # any scipy import now raises
 from rho_moments.characters import PowerSumPoly
 from rho_moments.cli import main
-
-def scipy_loaded():
-    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
 
 for argv in (
     "tables sym-chars --k 3",
     "qmoment --n 2 --entries '1,2 2,1'",
     "simplex --nu 2,0,1 --lambda 1",
     "qmoment --n 2 --entries '1,2 2,1' --mc 1000 1 --threads 1",
+    "simplex --nu 2,0,1 --mc 1000 1 --threads 1",
+    "verify --suite all --samples 1000 --seed 1 --threads 1",
 ):
-    main(shlex.split(argv), standalone_mode=False)
-    assert not scipy_loaded(), argv
-main("verify --suite sampler --samples 1000 --seed 1 --threads 1".split(), standalone_mode=False)
-assert scipy_loaded(), "the KS check must load scipy"
+    assert main(shlex.split(argv), standalone_mode=False) in (None, 0), argv
+    loaded = [name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None]
+    assert not loaded, (argv, loaded)
 """
 
 
-def test_only_the_ks_check_loads_scipy():
+def test_no_command_loads_scipy():
     # pytest has imported scipy already, so the import graph is checked in a fresh interpreter
     package_root = str(Path(rho_moments.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))

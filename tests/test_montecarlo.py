@@ -308,8 +308,8 @@ class TestKsEigenvalueCheck:
     def test_wrong_sampler_rejected(self):
         rng = np.random.default_rng(62)
         wrong = rng.uniform(0.5, 1.0, size=100_000)
-        result = stats.kstest(wrong, larger_eigenvalue_cdf)
-        assert result.pvalue < 0.001
+        _, p_value = montecarlo._kstest(wrong)
+        assert p_value < 0.001
 
     def test_disjoint_seeds_compatible(self):
         a = ks_eigenvalue_check(2, 50_000, seed=63)
@@ -335,6 +335,28 @@ class TestKsEigenvalueCheck:
     def test_cdf_shape(self):
         xs = np.array([0.0, 0.5, 0.75, 1.0, 2.0])
         np.testing.assert_allclose(larger_eigenvalue_cdf(xs), [0.0, 0.0, 0.125, 1.0, 1.0])
+
+    def test_statistic_matches_scipy(self):
+        values = montecarlo._larger_eigenvalue(sample_density_batch(2, 20_000, np.random.default_rng(67)))
+        statistic, _ = montecarlo._kstest(values)
+        assert abs(statistic - stats.kstest(values, larger_eigenvalue_cdf).statistic) <= 1e-15
+
+    # the largest |p - exact p| seen on a fine grid is 1.7e-4, 2.0e-5, 1.1e-6 and 2.2e-7 at these n
+    @pytest.mark.parametrize("n, tolerance", [(100, 2e-4), (1000, 3e-5), (20000, 1.5e-6), (100000, 3e-7)])
+    def test_p_value_matches_exact_distribution(self, n, tolerance):
+        for exact_p in np.geomspace(1e-5, 0.999, 40):
+            d = stats.kstwo.isf(exact_p, n)
+            statistic, p_value = montecarlo._kstest(sample_at_distance(d, n))
+            assert statistic == pytest.approx(d, abs=1e-12)
+            assert abs(p_value - stats.kstwo.sf(statistic, n)) <= tolerance, exact_p
+            assert (p_value > verify.KS_P_MIN) == (exact_p > verify.KS_P_MIN), exact_p
+        assert montecarlo._kstest(sample_at_distance(0.1 / np.sqrt(n), n))[1] == 1.0
+
+
+def sample_at_distance(d, n):
+    """n larger eigenvalues whose KS statistic against the law is d, for d >= 1/(2n)."""
+    cdf = np.minimum(np.arange(n) / n + d, 1.0)
+    return (1.0 + np.cbrt(cdf)) / 2.0
 
 
 # float.hex of (estimate.real, estimate.imag, std_error, exact_value.real,
