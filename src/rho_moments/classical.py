@@ -126,8 +126,6 @@ def sample_simplex_batch(n_components: int, count: int, rng: np.random.Generator
         raise ValueError("n_components must be positive")
     if count < 0:
         raise ValueError("count must be non-negative")
-    if n_components == 1:
-        return np.ones((count, 1))
     draws = rng.standard_exponential((count, n_components))
     totals = _redraw_underflowed(
         draws, lambda d: d.sum(axis=1), lambda rows: rng.standard_exponential((rows, n_components))

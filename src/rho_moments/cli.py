@@ -32,13 +32,14 @@ from .characters import (
     weyl_dim,
 )
 from .classical import DirichletSpec, SimplexMomentSpec
-from .combinat import check_exact_bits, class_order, enumerate_cycle_types, enumerate_partitions
+from .combinat import check_cap, check_exact_bits, class_order, enumerate_cycle_types, enumerate_partitions
 from .errors import CapExceededError
-from .quantum import DEFAULT_BOX_CAP, EntryMomentSpec, ScaledRational
+from .quantum import DEFAULT_BOX_CAP, PERMUTATION_SUM_COST, EntryMomentSpec, ScaledRational
 
 __all__ = ["main"]
 
 DEFAULT_TABLE_CAP = 10
+TABLE_COST = "character tables grow with the partition count"
 FORMAT_OPTION = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv", "markdown"]), default="markdown", show_default=True
 )
@@ -223,12 +224,10 @@ def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
     """Print character/dimension tables; K <= 4 reproduces the reference tables."""
     if k < 0 or (which != "dim-char-sum" and k < 1):
         raise click.BadParameter("k must be positive (dim-char-sum allows 0)")
-    if k > cap_k:
-        raise CapExceededError(
-            f"k={k} exceeds the table cap {cap_k}; pass --cap-k to override "
-            "(character tables grow with the partition count)"
-        )
-    warn_raised_cap(cap_k, DEFAULT_TABLE_CAP, "table size grows factorially with k")
+    if n is not None and which in ("sym-chars", "unitary-chars"):
+        raise click.BadParameter(f"--n does not apply to {which}")
+    check_cap(k, cap_k, TABLE_COST)
+    warn_raised_cap(cap_k, DEFAULT_TABLE_CAP, TABLE_COST)
     if n is not None:
         # no printed value exceeds about n^k
         check_exact_bits(k * n.bit_length(), f"--n to the power k={k}")
@@ -321,7 +320,7 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
         spec = EntryMomentSpec(n, pairs)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
-    warn_raised_cap(cap_k, DEFAULT_BOX_CAP, "the permutation sum costs 2^K*K chain steps plus 3^K terms")
+    warn_raised_cap(cap_k, DEFAULT_BOX_CAP, PERMUTATION_SUM_COST)
     exact = quantum.entry_moment(spec, max_boxes=cap_k)
     doc = {
         "query": {"n": n, "entries": [list(p) for p in pairs]},
@@ -330,7 +329,7 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
     }
     if mc is not None:
         samples, seed = mc
-        report = montecarlo.estimate_entry_moment(spec, samples, seed, workers=threads)
+        [report] = montecarlo._entry_reports([spec], [exact], samples, seed, threads)
         doc["mc_report"] = mc_report_json(report)
     emit_query(fmt, doc)
 

@@ -20,6 +20,7 @@ __all__ = [
     "class_order",
     "MAX_EXACT_BITS",
     "MAX_FACTORIAL_ARG",
+    "check_cap",
     "check_exact_bits",
     "bounded_factorial",
     "bounded_power",
@@ -206,6 +207,13 @@ def class_order(cycle_type: CycleType) -> int:
 MAX_FACTORIAL_ARG = 10000
 # Largest exact power or parsed input, in bits: the size of MAX_FACTORIAL_ARG!.
 MAX_EXACT_BITS = int(lgamma(MAX_FACTORIAL_ARG + 1) / log(2))
+
+
+def check_cap(k: int, cap: int, cost: str) -> int:
+    """Refuse K above ``cap``, naming what the cap bounds in ``cost``; return K."""
+    if k > cap:
+        raise CapExceededError(f"K = {k} exceeds the cap of {cap}; {cost}")
+    return k
 
 
 def check_exact_bits(bits: float, what: str) -> None:

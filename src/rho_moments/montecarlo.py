@@ -82,9 +82,6 @@ class EstimateReport:
     sample_count: int
     seed: int
 
-    def passed(self, z_max: float = 4.0) -> bool:
-        return self.z_score <= z_max
-
 
 @dataclass(frozen=True)
 class KsReport:
@@ -191,14 +188,10 @@ def sample_density(n: int, rng: np.random.Generator) -> np.ndarray:
     return sample_density_batch(n, 1, rng)[0]
 
 
-def estimate_entry_moments(
-    specs: Sequence[EntryMomentSpec],
-    samples: int,
-    seed: int,
-    *,
-    workers: int = 1,
+def _entry_reports(
+    specs: Sequence[EntryMomentSpec], exact: Sequence[complex], samples: int, seed: int, workers: int
 ) -> list[EstimateReport]:
-    """Estimate several entry moments from one shared sample stream."""
+    """Estimate several entry moments from one shared sample stream, each against its ``exact`` value."""
     if not specs:
         return []
     n = specs[0].dimension
@@ -216,15 +209,19 @@ def estimate_entry_moments(
 
         return consume
 
-    return _estimate(
-        partial(sample_density_batch, n),
-        n * n,
-        [make_consumer(s) for s in specs],
-        [quantum.entry_moment(s) for s in specs],
-        samples,
-        seed,
-        workers,
-    )
+    consumers = [make_consumer(s) for s in specs]
+    return _estimate(partial(sample_density_batch, n), n * n, consumers, exact, samples, seed, workers)
+
+
+def estimate_entry_moments(
+    specs: Sequence[EntryMomentSpec],
+    samples: int,
+    seed: int,
+    *,
+    workers: int = 1,
+) -> list[EstimateReport]:
+    """Estimate several entry moments from one shared sample stream."""
+    return _entry_reports(specs, [quantum.entry_moment(s) for s in specs], samples, seed, workers)
 
 
 def estimate_entry_moment(
@@ -268,7 +265,7 @@ def estimate_mgf(
             f"truncation remainder bound {bound:.3e} exceeds {MGF_TRUNCATION_TOL:.1e}; "
             "shrink a or raise the truncation order"
         )
-    series = sum(mgf_coefficient(k, n, a) for k in range(truncation + 1))
+    series = sum(mgf_coefficient(k, a) for k in range(truncation + 1))
 
     def consume(batch: np.ndarray) -> np.ndarray:
         return np.exp(np.einsum("ij,sji->s", a, batch).real)
@@ -362,10 +359,8 @@ def _larger_eigenvalue(batch: np.ndarray) -> np.ndarray:
     return (a + d + np.hypot(a - d, 2.0 * np.abs(batch[:, 0, 1]))) / 2.0
 
 
-def ks_eigenvalue_check(n: int, samples: int, seed: int) -> KsReport:
+def ks_eigenvalue_check(samples: int, seed: int) -> KsReport:
     """Kolmogorov-Smirnov test of the sampled larger-eigenvalue law at n = 2."""
-    if n != 2:
-        raise ValueError("only n = 2 has the closed-form marginal implemented")
     draw = partial(sample_density_batch, 2)
     tops = _chunk_results(draw, 4, samples, seed, 1, _larger_eigenvalue)
     statistic, p_value = _kstest(np.concatenate(tops))

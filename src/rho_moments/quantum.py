@@ -29,8 +29,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .characters import dim_char_sum
-from .combinat import CycleType, bounded_factorial, class_order, lower_triangle_count, super_factorial, vandermonde
-from .errors import CapExceededError
+from .combinat import (
+    CycleType, bounded_factorial, check_cap, class_order, lower_triangle_count, super_factorial, vandermonde,
+)
 
 __all__ = [
     "DEFAULT_BOX_CAP",
@@ -52,6 +53,7 @@ __all__ = [
 # 3^K terms, ``omega_expand`` lists the K!/z_mu distinct cycle words of its
 # class. Overridable per call.
 DEFAULT_BOX_CAP = 8
+PERMUTATION_SUM_COST = "the permutation sum costs 2^K*K chain steps plus 3^K partition terms"
 
 
 @dataclass(frozen=True)
@@ -235,23 +237,20 @@ def eval_power_sums(a: np.ndarray, max_r: int) -> list[complex]:
     return out
 
 
-def mgf_coefficient(k: int, n: int, a: np.ndarray) -> complex:
+def mgf_coefficient(k: int, a: np.ndarray) -> complex:
     """Normalized series coefficient of the moment generating function.
 
     (N^2-1)!/(K+N^2-1)! * sum over K-box shapes with at most N rows of
-    dim * character(A), which is ``dim_char_sum`` at the power sums of A;
-    the K = 0 coefficient is 1 by convention.
+    dim * character(A), which is ``dim_char_sum`` at the power sums of the
+    N x N matrix A; the K = 0 coefficient is 1 by convention.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if n < 1:
-        raise ValueError("n must be positive")
     if k == 0:
         return 1.0 + 0.0j
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix, got shape {a.shape}")
-    total = dim_char_sum(k, n).evaluate(eval_power_sums(a, k))
+    power_sums = eval_power_sums(a, k)  # refuses a non-square A
+    n = len(a)
+    total = dim_char_sum(k, n).evaluate(power_sums)
     return complex(Fraction(1, _rising_product(k, n)) * total)
 
 
@@ -277,11 +276,9 @@ def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CA
     """
     if monomial.boxes() != k:
         raise ValueError(f"monomial has box weight {monomial.boxes()}, expected {k}")
-    if k > max_boxes:
-        raise CapExceededError(
-            f"K = {k} exceeds the cap of {max_boxes}; K!/z_mu = {class_order(monomial)} distinct terms"
-        )
-    z = Fraction(math.factorial(k), class_order(monomial))
+    words = class_order(monomial)
+    check_cap(k, max_boxes, f"K!/z_mu = {words} distinct terms")
+    z = Fraction(math.factorial(k), words)
     return TraceProductExpr(k, dict.fromkeys(_cycle_words(tuple(range(1, k + 1)), monomial.counts), z))
 
 
@@ -296,15 +293,6 @@ def _validated_observables(observables: Sequence[np.ndarray]) -> tuple[list[np.n
         if not np.isfinite(c).all():
             raise ValueError("observables must have finite entries")
     return mats, n
-
-
-def _check_cap(k: int, max_boxes: int) -> int:
-    if k > max_boxes:
-        raise CapExceededError(
-            f"K = {k} exceeds the cap of {max_boxes}; the permutation sum costs "
-            "2^K*K chain steps plus 3^K partition terms"
-        )
-    return k
 
 
 def _permutation_sum(k: int, n: int, start: Callable, grow: Callable, close: Callable):
@@ -347,7 +335,7 @@ def moment_traces(
     real, as for integer-valued observables, is normalized exactly.
     """
     mats, n = _validated_observables(observables)
-    k = _check_cap(len(mats), max_boxes)
+    k = check_cap(len(mats), max_boxes, PERMUTATION_SUM_COST)
     total = _permutation_sum(
         k, n, lambda a: mats[a], lambda prev: sum(chain @ mats[j] for chain, j in prev),
         lambda chain, _: complex(np.trace(chain)),
@@ -364,7 +352,7 @@ def entry_moment(spec: EntryMomentSpec, *, max_boxes: int = DEFAULT_BOX_CAP) -> 
     i_min(S) times an integer count per end column, and a block closes where
     that column meets i_min(S): the sum stays in integer arithmetic.
     """
-    k = _check_cap(spec.order(), max_boxes)
+    k = check_cap(spec.order(), max_boxes, PERMUTATION_SUM_COST)
     n = spec.dimension
     rows = [i for i, _ in spec.pairs]
     cols = [j for _, j in spec.pairs]

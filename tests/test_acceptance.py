@@ -271,7 +271,7 @@ def test_c12_mgf_cross_check():
 
 
 def test_c13_sampler_eigenvalue_law():
-    report = ks_eigenvalue_check(2, 100_000, seed=9500)
+    report = ks_eigenvalue_check(100_000, seed=9500)
     control_rng = np.random.default_rng(9501)
     _, control_p = _kstest(control_rng.uniform(0.5, 1.0, 100_000))
     ok = report.p_value > 0.001 and control_p < 0.001

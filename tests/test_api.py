@@ -1,9 +1,15 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
+import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import rho_moments
+from rho_moments import CapExceededError, CycleType, EntryMomentSpec, entry_moment, moment_traces, omega_expand
+from rho_moments.cli import main
 
 PUBLIC_NAMES = {
     "Partition",
@@ -59,3 +65,42 @@ def test_module_exports_resolve(name):
     module = importlib.import_module(f"rho_moments.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["combinat", "characters", "errors"])
+def test_exact_module_imports_no_numpy(name):
+    path = Path(rho_moments.__file__).with_name(f"{name}.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: imports {m}" for m in modules if m.split(".")[0] == "numpy"]
+    assert found == []
+
+
+def tables_sym_chars(k: int, cap: int) -> None:
+    result = CliRunner().invoke(main, ["tables", "sym-chars", "--k", str(k), "--cap-k", str(cap)])
+    if result.exit_code == 1:
+        raise CapExceededError(result.stderr.removeprefix("Error: "))
+    assert result.exit_code == 0, result.output
+
+
+CAPPED = {
+    "entry_moment": lambda k, cap: entry_moment(EntryMomentSpec(2, ((1, 1),) * k), max_boxes=cap),
+    "moment_traces": lambda k, cap: moment_traces([np.eye(2)] * k, max_boxes=cap),
+    "omega_expand": lambda k, cap: omega_expand(CycleType((k,)), k, max_boxes=cap),
+    "tables sym-chars": tables_sym_chars,
+}
+
+
+@pytest.mark.parametrize("name", CAPPED)
+def test_every_cap_refuses_in_one_wording(name):
+    cap = 3
+    CAPPED[name](cap, cap)
+    with pytest.raises(CapExceededError) as refused:
+        CAPPED[name](cap + 1, cap)
+    assert str(refused.value).startswith(f"K = {cap + 1} exceeds the cap of {cap}; ")

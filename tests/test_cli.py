@@ -116,12 +116,25 @@ class TestTablesCommand:
     def test_cap_rejected_with_message(self, runner):
         result = runner.invoke(main, ["tables", "sym-chars", "--k", "11"])
         assert result.exit_code == 1
-        assert "cap 10" in result.output
+        assert "cap of 10" in result.output
 
     def test_cap_override_warns(self, runner):
         result = runner.invoke(main, ["tables", "sym-chars", "--k", "11", "--cap-k", "11"])
         assert result.exit_code == 0
         assert "warning" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tables", "sym-chars", "--k", "3"], ["qmoment", "--n", "2", "--entries", "1,1 1,1 1,1"]],
+    ids=["tables", "qmoment"],
+)
+def test_raised_cap_warns_with_the_cost_of_its_refusal(runner, argv):
+    refused = runner.invoke(main, argv + ["--cap-k", "2"])
+    warned = runner.invoke(main, argv + ["--cap-k", "20"])
+    assert refused.exit_code == 1 and warned.exit_code == 0
+    cost = refused.stderr.partition("; ")[2]
+    assert cost and warned.stderr.endswith(f"; {cost}")
 
 
 class TestSimplexCommand:
@@ -268,13 +281,19 @@ class TestQmomentCommand:
         assert result.exit_code == 1
         assert "cap" in result.output
 
-    def test_cap_exceeded_by_the_mc_report_is_resource_error(self, runner):
-        # --cap-k raises the exact engine's cap; the estimator's exact target keeps the default
+    def test_raised_cap_reaches_the_mc_report(self, runner, monkeypatch):
+        # the report is measured against the printed exact value: one permutation sum per query
+        engine = rho_moments.quantum._permutation_sum
+        calls = []
+        monkeypatch.setattr(
+            rho_moments.quantum, "_permutation_sum", lambda *args: calls.append(args) or engine(*args)
+        )
         entries = " ".join(["1,1"] * 9)
         argv = ["qmoment", "--n", "2", "--entries", entries, "--cap-k", "9", "--mc", "1000", "1", "--threads", "1"]
-        result = runner.invoke(main, argv)
-        assert result.exit_code == 1
-        assert "Error: K = 9 exceeds the cap of 8;" in result.stderr
+        result = runner.invoke(main, argv + ["--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["mc_report"]["sample_count"] == 1000
+        assert len(calls) == 1
 
     def test_volume_beyond_the_exact_budget_is_resource_error(self, runner):
         result = runner.invoke(main, ["qmoment", "--n", "1000", "--entries", "1,1"])
@@ -486,6 +505,8 @@ class TestMmapThreshold:
         ["simplex", "--nu", "400", "--lambda", "10", "--mc", "100", "1"],
         ["tables", "sym-chars", "--k", "3", "--cap-k", "-5"],
         ["qmoment", "--n", "2", "--entries", "1,1", "--cap-k", "-1"],
+        ["tables", "sym-chars", "--k", "3", "--n", "5"],
+        ["tables", "unitary-chars", "--k", "3", "--n", "5"],
     ],
 )
 def test_bad_input_is_usage_error(runner, argv):

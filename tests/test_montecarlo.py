@@ -114,7 +114,7 @@ class TestSampleDensity:
         lambda m: estimate_mgf(np.diag([0.1, -0.1]), 6, m, seed=1),
         lambda m: estimate_simplex_moment(SimplexMomentSpec((2, 0, 1)), m, seed=1),
         lambda m: estimate_dirichlet_moment(DirichletSpec((1, 0)), m, seed=1),
-        lambda m: ks_eigenvalue_check(2, m, seed=1),
+        lambda m: ks_eigenvalue_check(m, seed=1),
     ],
     ids=["entry", "entries", "purity", "mgf", "simplex", "dirichlet", "ks"],
 )
@@ -302,7 +302,7 @@ class TestSimplexEstimators:
 
 class TestKsEigenvalueCheck:
     def test_law_accepted(self):
-        report = ks_eigenvalue_check(2, 100_000, seed=61)
+        report = ks_eigenvalue_check(100_000, seed=61)
         assert report.p_value > 0.001
 
     def test_wrong_sampler_rejected(self):
@@ -312,13 +312,13 @@ class TestKsEigenvalueCheck:
         assert p_value < 0.001
 
     def test_disjoint_seeds_compatible(self):
-        a = ks_eigenvalue_check(2, 50_000, seed=63)
-        b = ks_eigenvalue_check(2, 50_000, seed=64)
+        a = ks_eigenvalue_check(50_000, seed=63)
+        b = ks_eigenvalue_check(50_000, seed=64)
         assert a.p_value > 0.001 and b.p_value > 0.001
 
     def test_chunk_boundary(self):
         # one sample past a full chunk: the second batch holds a single draw
-        report = ks_eigenvalue_check(2, 2**16 + 1, seed=65)
+        report = ks_eigenvalue_check(2**16 + 1, seed=65)
         assert report.sample_count == 2**16 + 1
         assert report.p_value > 0.001
 
@@ -327,10 +327,6 @@ class TestKsEigenvalueCheck:
         np.testing.assert_allclose(
             montecarlo._larger_eigenvalue(batch), np.linalg.eigvalsh(batch)[:, -1], rtol=0, atol=1e-12
         )
-
-    def test_other_dimensions_unsupported(self):
-        with pytest.raises(ValueError):
-            ks_eigenvalue_check(3, 1_000, seed=1)
 
     def test_cdf_shape(self):
         xs = np.array([0.0, 0.5, 0.75, 1.0, 2.0])
