@@ -3,7 +3,8 @@
 The exact engines (``combinat``, ``characters``, ``classical``, ``quantum``)
 work in arbitrary-precision integer/rational arithmetic; ``montecarlo``
 provides the floating-point verification oracle and ``cli`` the command-line
-front end.
+front end. The ``montecarlo`` names load numpy, so they resolve on first access
+(PEP 562) and ``import rho_moments`` leaves numpy unloaded.
 """
 
 from .classical import (
@@ -32,15 +33,6 @@ from .characters import (
     weyl_dim,
 )
 from .errors import CapExceededError
-from .montecarlo import (
-    EstimateReport,
-    KsReport,
-    estimate_entry_moment,
-    estimate_mgf,
-    estimate_purity,
-    ks_eigenvalue_check,
-    sample_density,
-)
 from .quantum import (
     EntryMomentSpec,
     ScaledRational,
@@ -57,6 +49,16 @@ from .quantum import (
 )
 
 __version__ = "0.1.0"
+
+_MONTECARLO_NAMES = {
+    "EstimateReport",
+    "KsReport",
+    "estimate_entry_moment",
+    "estimate_mgf",
+    "estimate_purity",
+    "ks_eigenvalue_check",
+    "sample_density",
+}
 
 __all__ = [
     "Partition",
@@ -100,3 +102,11 @@ __all__ = [
     "CapExceededError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

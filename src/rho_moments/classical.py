@@ -4,6 +4,9 @@ The simplex integral lives on {x >= 0, sum(x) = scale} with the delta-function
 convention, so the all-zero-exponent case is scale^(n-1)/(n-1)!, not 1. The
 Dirichlet integral lives on the open region {x >= 0, sum(x) < scale} with a
 monomial weight f(t) = t^weight_power on the coordinate sum.
+
+The sampler only calls methods of the numpy generator and arrays it is given,
+so this module imports no numpy and the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .combinat import bounded_factorial, bounded_power
 
 __all__ = [
+    "MIN_SAMPLES",
     "SimplexMomentSpec",
     "DirichletSpec",
     "simplex_moment",
@@ -26,6 +28,9 @@ __all__ = [
     "sample_simplex",
     "sample_simplex_batch",
 ]
+
+# Every Monte Carlo estimator and the KS check refuses smaller sample counts.
+MIN_SAMPLES = 100
 
 
 def _as_exponents(exponents) -> tuple[int, ...]:
@@ -111,12 +116,12 @@ def beta_function(m: int, n: int) -> Fraction:
     )
 
 
-def sample_simplex(n_components: int, rng: np.random.Generator) -> np.ndarray:
+def sample_simplex(n_components: int, rng: numpy.random.Generator) -> numpy.ndarray:
     """One point uniform on the simplex {x >= 0, sum(x) = 1}."""
     return sample_simplex_batch(n_components, 1, rng)[0]
 
 
-def sample_simplex_batch(n_components: int, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_simplex_batch(n_components: int, count: int, rng: numpy.random.Generator) -> numpy.ndarray:
     """(count, n_components) array of uniform simplex points.
 
     Normalized exponential spacings; rows whose raw sum underflows are
@@ -134,15 +139,15 @@ def sample_simplex_batch(n_components: int, count: int, rng: np.random.Generator
 
 
 def _redraw_underflowed(
-    batch: np.ndarray, totals: Callable[[np.ndarray], np.ndarray], draw: Callable[[int], np.ndarray]
-) -> np.ndarray:
+    batch: numpy.ndarray, totals: Callable[[numpy.ndarray], numpy.ndarray], draw: Callable[[int], numpy.ndarray]
+) -> numpy.ndarray:
     """Redraw the rows of ``batch`` whose total is below 1e-300 until none is; return the totals.
 
     ``totals(batch)`` gives one total per row and ``draw(rows)`` that many fresh
     rows; the underflowed rows are redrawn together, in row order.
     """
     sums = totals(batch)
-    while np.any(bad := sums < 1e-300):
+    while (bad := sums < 1e-300).any():
         batch[bad] = draw(int(bad.sum()))
         sums = totals(batch)
     return sums

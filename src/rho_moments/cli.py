@@ -6,7 +6,8 @@ rendered, so they never pass through floating point: JSON encodes each as a
 and markdown print ``str(value)``, that is ``p/q`` followed by ``·(2π)^e``
 when e is not 0. Monte Carlo reports are floats by nature and are attached
 separately. A ``CapExceededError`` from any command, a request past a cap or
-the exact-arithmetic budget, exits 1 with its message.
+the exact-arithmetic budget, exits 1 with its message. ``montecarlo`` and
+``verify`` load numpy, so only the commands that run them import them.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import click
 
-from . import classical, montecarlo, quantum, verify
+from . import classical, quantum
 from .characters import (
     dim_char_sum,
     monomial_label,
@@ -31,10 +32,13 @@ from .characters import (
     unitary_char_poly,
     weyl_dim,
 )
-from .classical import DirichletSpec, SimplexMomentSpec
+from .classical import MIN_SAMPLES, DirichletSpec, SimplexMomentSpec
 from .combinat import check_cap, check_exact_bits, class_order, enumerate_cycle_types, enumerate_partitions
 from .errors import CapExceededError
 from .quantum import DEFAULT_BOX_CAP, PERMUTATION_SUM_COST, EntryMomentSpec, ScaledRational
+
+if TYPE_CHECKING:
+    from .montecarlo import EstimateReport
 
 __all__ = ["main"]
 
@@ -45,10 +49,10 @@ FORMAT_OPTION = click.option(
 )
 MC_OPTION = click.option(
     "--mc",
-    type=(click.IntRange(min=montecarlo.MIN_SAMPLES), click.IntRange(min=0)),
+    type=(click.IntRange(min=MIN_SAMPLES), click.IntRange(min=0)),
     default=None,
     metavar="SAMPLES SEED",
-    help=f"Attach a Monte Carlo report (SAMPLES >= {montecarlo.MIN_SAMPLES}, SEED >= 0).",
+    help=f"Attach a Monte Carlo report (SAMPLES >= {MIN_SAMPLES}, SEED >= 0).",
 )
 THREADS_OPTION = click.option(
     "--threads", type=int, default=os.cpu_count() or 1, help="Worker count (default: the CPU count)."
@@ -136,7 +140,7 @@ def echo_aligned(pairs: list[tuple[str, str]]) -> None:
         click.echo(f"{key.ljust(width)}  {value}")
 
 
-def mc_report_json(report: montecarlo.EstimateReport) -> dict:
+def mc_report_json(report: EstimateReport) -> dict:
     return {
         "estimate": {"re": report.estimate.real, "im": report.estimate.imag},
         "std_error": report.std_error,
@@ -296,6 +300,8 @@ def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
         "exact_value": exact,
     }
     if mc is not None:
+        from . import montecarlo
+
         samples, seed = mc
         estimate = montecarlo.estimate_dirichlet_moment if dirichlet else montecarlo.estimate_simplex_moment
         try:
@@ -328,6 +334,8 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
         "raw_value": quantum.hs_volume(n) * exact,
     }
     if mc is not None:
+        from . import montecarlo
+
         samples, seed = mc
         [report] = montecarlo._entry_reports([spec], [exact], samples, seed, threads)
         doc["mc_report"] = mc_report_json(report)
@@ -342,7 +350,7 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
     show_default=True,
 )
 @click.option(
-    "--samples", type=click.IntRange(min=montecarlo.MIN_SAMPLES), default=100000, show_default=True
+    "--samples", type=click.IntRange(min=MIN_SAMPLES), default=100000, show_default=True
 )
 @click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
 @THREADS_OPTION
@@ -350,6 +358,8 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
 @click.pass_context
 def cmd_verify(ctx, suite, samples, seed, threads, fmt) -> None:
     """Run the self-check suites; exit 0 only if every check passes."""
+    from . import verify
+
     results = verify.run_suite(suite, samples, seed, threads)
     all_passed = all(r.passed for r in results)
     rows = [[r.name, "pass" if r.passed else "FAIL", r.detail] for r in results]

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import classical, quantum
-from .classical import DirichletSpec, SimplexMomentSpec, _redraw_underflowed, sample_simplex_batch
+from .classical import MIN_SAMPLES, DirichletSpec, SimplexMomentSpec, _redraw_underflowed, sample_simplex_batch
 from .quantum import EntryMomentSpec, mgf_coefficient
 
 __all__ = [
@@ -56,8 +56,6 @@ __all__ = [
 _CHUNK = 1 << 16
 _CHUNK_ENTRIES = 1 << 20
 
-# Every estimator and the KS check refuses smaller sample counts.
-MIN_SAMPLES = 100
 # Largest remainder bound of the truncated series ``estimate_mgf`` compares
 # against: well under the 4-sigma resolution of any accepted sample count.
 MGF_TRUNCATION_TOL = 1e-5

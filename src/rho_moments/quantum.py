@@ -15,7 +15,8 @@ the trace sum over its cyclic orders, in O(2^K K) chain steps plus O(3^K)
 partition terms. All user-facing moments are normalized by the ensemble
 volume, so results are exact rationals (entry moments; also integer-valued
 observables) or plain complex numbers; the (2*pi)-carrying raw values remain
-available through ``ScaledRational``.
+available through ``ScaledRational``. numpy is imported only inside the
+functions that take numeric matrices, so the exact engines run without it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .characters import dim_char_sum
 from .combinat import (
@@ -222,8 +221,10 @@ def _rising_product(k: int, n: int) -> int:
     return math.perm(k + n * n - 1, k)
 
 
-def eval_power_sums(a: np.ndarray, max_r: int) -> list[complex]:
+def eval_power_sums(a: numpy.ndarray, max_r: int) -> list[complex]:
     """(t_1, ..., t_max_r) with t_r = tr(a^r), by repeated multiplication."""
+    import numpy as np
+
     if max_r < 1:
         raise ValueError("max_r must be positive")
     a = np.asarray(a, dtype=complex)
@@ -237,7 +238,7 @@ def eval_power_sums(a: np.ndarray, max_r: int) -> list[complex]:
     return out
 
 
-def mgf_coefficient(k: int, a: np.ndarray) -> complex:
+def mgf_coefficient(k: int, a: numpy.ndarray) -> complex:
     """Normalized series coefficient of the moment generating function.
 
     (N^2-1)!/(K+N^2-1)! * sum over K-box shapes with at most N rows of
@@ -282,7 +283,9 @@ def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CA
     return TraceProductExpr(k, dict.fromkeys(_cycle_words(tuple(range(1, k + 1)), monomial.counts), z))
 
 
-def _validated_observables(observables: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
+def _validated_observables(observables: Sequence[numpy.ndarray]) -> tuple[list[numpy.ndarray], int]:
+    import numpy as np
+
     mats = [np.asarray(c, dtype=complex) for c in observables]
     if not mats:
         raise ValueError("at least one observable is required")
@@ -326,7 +329,7 @@ def _permutation_sum(k: int, n: int, start: Callable, grow: Callable, close: Cal
 
 
 def moment_traces(
-    observables: Sequence[np.ndarray], *, max_boxes: int = DEFAULT_BOX_CAP
+    observables: Sequence[numpy.ndarray], *, max_boxes: int = DEFAULT_BOX_CAP
 ) -> complex:
     """Mean of prod_j (C_j . rho) over the flat density-matrix ensemble.
 
@@ -338,7 +341,7 @@ def moment_traces(
     k = check_cap(len(mats), max_boxes, PERMUTATION_SUM_COST)
     total = _permutation_sum(
         k, n, lambda a: mats[a], lambda prev: sum(chain @ mats[j] for chain, j in prev),
-        lambda chain, _: complex(np.trace(chain)),
+        lambda chain, _: complex(chain.trace()),
     )
     if total.imag == 0 and math.isfinite(total.real):
         total = Fraction(total.real)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 
 import numpy as np
@@ -179,6 +179,19 @@ def _quantum_checks(samples: int, seed: int, workers: int) -> list[CheckResult]:
         for pairs in product(product((1, 2), repeat=2), repeat=k)
     )
     checks.append(CheckResult("entry-vs-omega-route", omega_ok, "K <= 3, N = 2, exhaustive, exact"))
+
+    # diag(rho) is Dirichlet(N, ..., N), so E[prod rho_ii^k_i] = simplex_moment(k + N - 1) / simplex_moment((N - 1,)*N)
+    def moment(exponents):
+        return classical.simplex_moment(SimplexMomentSpec(tuple(exponents)))
+
+    diag_ok = all(
+        quantum.entry_moment(EntryMomentSpec(n, tuple((i, i) for i in word)))
+        == moment(word.count(i) + n - 1 for i in range(1, n + 1)) / moment([n - 1] * n)
+        for n in range(1, 4)
+        for k in range(1, 7)
+        for word in combinations_with_replacement(range(1, n + 1), k)
+    )
+    checks.append(CheckResult("diag-entry-vs-dirichlet", diag_ok, "every diagonal spec, K <= 6, N <= 3, exact"))
 
     a = 0.25 * _random_hermitian(2, rng)
     report = montecarlo.estimate_mgf(a, 6, samples, seed + 300, workers=workers)

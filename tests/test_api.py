@@ -58,6 +58,11 @@ PUBLIC_NAMES = {
 def test_package_exports_are_pinned():
     assert len(rho_moments.__all__) == len(PUBLIC_NAMES)
     assert set(rho_moments.__all__) == PUBLIC_NAMES
+    # the Monte Carlo names resolve on first access
+    namespace = {}
+    exec("from rho_moments import *", namespace)
+    assert set(namespace) >= PUBLIC_NAMES
+    assert namespace["estimate_purity"] is rho_moments.montecarlo.estimate_purity
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(rho_moments.__path__)])
@@ -67,7 +72,7 @@ def test_module_exports_resolve(name):
     assert missing == []
 
 
-@pytest.mark.parametrize("name", ["combinat", "characters", "errors"])
+@pytest.mark.parametrize("name", ["combinat", "characters", "classical", "errors"])
 def test_exact_module_imports_no_numpy(name):
     path = Path(rho_moments.__file__).with_name(f"{name}.py")
     found = []

@@ -434,6 +434,23 @@ class TestVerifyCommand:
         failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
         assert failed == ["entry-vs-omega-route"]
 
+    def test_perturbed_diagonal_entry_moment_fails(self, runner, monkeypatch):
+        engine = rho_moments.quantum.entry_moment
+
+        def corrupted(spec, **kwargs):
+            # one N = 3, K = 6 diagonal moment off: only the Dirichlet-law check sees it
+            value = engine(spec, **kwargs)
+            return value * 2 if spec.pairs == ((1, 1), (1, 1), (2, 2), (2, 2), (3, 3), (3, 3)) else value
+
+        monkeypatch.setattr(rho_moments.quantum, "entry_moment", corrupted)
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "quantum", "--samples", "5000", "--seed", "7", "--threads", "1"],
+        )
+        assert result.exit_code == 1
+        failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
+        assert failed == ["diag-entry-vs-dirichlet"]
+
     def test_json_report_parses_for_quantum_checks(self, runner):
         # quantum checks compute their verdicts as numpy bools
         argv = "verify --suite quantum --samples 5000 --seed 7 --threads 1 --format json"
@@ -615,11 +632,50 @@ for argv in (
 """
 
 
-def test_no_command_loads_scipy():
-    # pytest has imported scipy already, so the import graph is checked in a fresh interpreter
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` on this package in a fresh interpreter: pytest has imported numpy and scipy already."""
     package_root = str(Path(rho_moments.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", IMPORT_GRAPH_SCRIPT], env=env, capture_output=True, text=True, timeout=120
-    )
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_no_command_loads_scipy():
+    done = run_fresh(IMPORT_GRAPH_SCRIPT)
     assert done.returncode == 0, done.stderr
+
+
+NUMPY_GRAPH_SCRIPT = """
+import shlex
+import sys
+import rho_moments
+from rho_moments.cli import main
+
+assert "numpy" not in sys.modules, "import rho_moments loaded numpy"
+for argv in sys.argv[1:]:
+    assert main(shlex.split(argv), standalone_mode=False) in (None, 0), argv
+print("numpy" in sys.modules)
+"""
+
+EXACT_COMMANDS = (
+    "tables sym-chars --k 3",
+    "tables dims --k 4 --n 3",
+    "qmoment --n 2 --entries '1,2 2,1'",
+    "simplex --nu 2,0,1 --lambda 1",
+    "simplex --nu 2,0 --dirichlet --f-power 1",
+)
+
+
+@pytest.mark.parametrize(
+    "argvs, loads_numpy",
+    [
+        (EXACT_COMMANDS, False),
+        (("qmoment --n 2 --entries '1,2 2,1' --mc 1000 1 --threads 1",), True),
+        (("simplex --nu 2,0,1 --mc 1000 1 --threads 1",), True),
+        (("verify --suite classical --samples 1000 --seed 1 --threads 1",), True),
+    ],
+    ids=["exact", "qmoment-mc", "simplex-mc", "verify"],
+)
+def test_only_monte_carlo_loads_numpy(argvs, loads_numpy):
+    done = run_fresh(NUMPY_GRAPH_SCRIPT, *argvs)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(loads_numpy)
