@@ -3,15 +3,19 @@
 Density matrices are drawn as rho = G G^dagger / tr(G G^dagger) with G a
 square matrix of independent standard complex Gaussians; that normalization
 realizes the flat trace-one ensemble, which the purity, entry-moment, and
-eigenvalue-law checks validate rather than assume. Every estimator builds its
-per-sample consumers and exact targets and hands them to one streaming path,
-which the KS check shares: the samples are cut into fixed-size chunks, chunk c
-is drawn from its own stream ``SeedSequence(seed, spawn_key=(c,))`` in a thread
-pool task of its own. For the estimators each chunk reduces to one float64
-array of sums, Σre, Σim, Σre² and Σim² of each consumer's values, and these
-arrays are added in chunk order into one array of totals, from which each
-report is read. A report therefore depends on the seed alone; the worker count
-changes only the speed.
+eigenvalue-law checks validate rather than assume. The Gram product is built in
+real arithmetic from the real and imaginary parts of G, with the samples on the
+last axis: no BLAS call and no complex multiply, so the sampled bits depend
+neither on the BLAS build or thread count nor on numpy's SIMD dispatch level.
+Every estimator builds its per-sample consumers and exact targets and hands
+them to one streaming path, which the KS check shares: the samples are cut into
+chunks of 2^16 sample entries (or one sample), and chunk c is drawn from its
+own stream ``SeedSequence(seed, spawn_key=(c,))`` in a thread pool task of its
+own. For the estimators each chunk reduces to the mean and the sum of squared
+deviations of each consumer's real and imaginary parts, and these are merged in
+chunk order (Chan, Golub and LeVeque 1983) into one mean and one sum of squares
+per component, from which each report is read. A report therefore depends on
+the seed alone; the worker count changes only the speed.
 
 The KS p-value is Kolmogorov's limit law Q(lam) = 2 sum_j (-1)^(j-1)
 exp(-2 j^2 lam^2) at lam = z + 1/(6 sqrt(n)) + (z - 1)/(4n), z = sqrt(n) D, the
@@ -50,11 +54,11 @@ __all__ = [
     "larger_eigenvalue_cdf",
 ]
 
-# A chunk holds at most _CHUNK samples and, down to one sample, _CHUNK_ENTRIES
-# sample entries, so its arrays stay a few tens of MB as the matrices grow. The
-# size depends on the sample width alone, because chunk boundaries fix the streams.
-_CHUNK = 1 << 16
-_CHUNK_ENTRIES = 1 << 20
+# A chunk holds _CHUNK_ENTRIES sample entries, or one sample if that is wider:
+# its Gaussian draw and its Gram array are then 1 MiB each and stay in cache
+# (16384 samples at n = 2, 7281 at n = 3, 1024 at n = 8). The size depends on
+# the sample width alone, because chunk boundaries fix the streams.
+_CHUNK_ENTRIES = 1 << 16
 
 # Largest remainder bound of the truncated series ``estimate_mgf`` compares
 # against: well under the 4-sigma resolution of any accepted sample count.
@@ -89,23 +93,26 @@ class KsReport:
     seed: int
 
 
-def _component(total: float, total_sq: float, count: int, exact: float, scale: float) -> tuple[float, float]:
-    """Standard error and z-score of the mean total / count of one component against ``exact``."""
-    se = math.sqrt(max(total_sq - total**2 / count, 0.0) / (count - 1) / count)
-    delta = abs(total / count - exact)
+def _component(mean: float, m2: float, count: int, exact: float, scale: float) -> tuple[float, float]:
+    """Standard error and z-score of one component's ``mean`` against ``exact``.
+
+    ``m2`` is the sum of squared deviations from the mean over ``count`` values.
+    """
+    se = math.sqrt(m2 / (count - 1) / count)
+    delta = abs(mean - exact)
     if se > 0.0:
         return se, delta / se
     return se, 0.0 if delta <= 1e-12 * scale else math.inf
 
 
-def _report(sums: np.ndarray, count: int, exact: complex, seed: int) -> EstimateReport:
-    """The report of one consumer's row of sums, (Σre, Σim, Σre², Σim²) over ``count`` values."""
-    sum_re, sum_im, sumsq_re, sumsq_im = sums.tolist()
+def _report(mean: np.ndarray, m2: np.ndarray, count: int, exact: complex, seed: int) -> EstimateReport:
+    """The report of one consumer: ``mean`` and ``m2`` hold its (re, im) mean and sum of squared deviations."""
+    (mean_re, mean_im), (m2_re, m2_im) = mean.tolist(), m2.tolist()
     scale = 1.0 + abs(exact)
-    se_re, z_re = _component(sum_re, sumsq_re, count, exact.real, scale)
-    se_im, z_im = _component(sum_im, sumsq_im, count, exact.imag, scale)
+    se_re, z_re = _component(mean_re, m2_re, count, exact.real, scale)
+    se_im, z_im = _component(mean_im, m2_im, count, exact.imag, scale)
     return EstimateReport(
-        estimate=complex(sum_re / count, sum_im / count),
+        estimate=complex(mean_re, mean_im),
         std_error=max(se_re, se_im),
         exact_value=exact,
         z_score=max(z_re, z_im),
@@ -125,7 +132,7 @@ def _chunk_results(
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"at least {MIN_SAMPLES} samples are required")
-    size = min(_CHUNK, max(1, _CHUNK_ENTRIES // width))
+    size = max(1, _CHUNK_ENTRIES // width)
     chunks = -(-samples // size)
     workers = min(max(1, int(workers)), chunks, os.cpu_count() or 1)
 
@@ -143,25 +150,39 @@ def _estimate(
 ) -> list[EstimateReport]:
     """Mean of each consumer over ``samples`` draws, reported against ``exact``."""
 
-    def chunk_sums(batch: np.ndarray) -> np.ndarray:
-        sums = np.empty((len(consumers), 4))
-        for row, consume in zip(sums, consumers):
+    def chunk_moments(batch: np.ndarray) -> tuple[int, np.ndarray]:
+        """The chunk's size and, per consumer, the (re, im) means and sums of squared deviations."""
+        moments = np.empty((2, len(consumers), 2))
+        for c, consume in enumerate(consumers):
             values = consume(batch)
-            re, im = np.real(values), np.imag(values)
-            row[:] = re.sum(), im.sum(), (re * re).sum(), (im * im).sum()
-        return sums
+            for p, part in enumerate((np.real(values), np.imag(values))):
+                # shifted by the first value, so constant values have m2 = 0 exactly, as in Welford's update
+                dev = part - part[0]
+                shift = dev.mean()
+                dev -= shift
+                moments[:, c, p] = part[0] + shift, np.multiply(dev, dev, out=dev).sum()
+        return len(batch), moments
 
-    total = np.zeros((len(consumers), 4))
-    for sums in _chunk_results(draw, width, samples, seed, workers, chunk_sums):
-        total += sums  # elementwise, in chunk order: the same float adds at any worker count
-    return [_report(row, samples, complex(x), seed) for row, x in zip(total, exact)]
+    # Chan, Golub and LeVeque's pairwise update, one chunk at a time in chunk
+    # order: the same float operations at any worker count.
+    count, mean, m2 = 0, np.zeros((len(consumers), 2)), np.zeros((len(consumers), 2))
+    for size, (chunk_mean, chunk_m2) in _chunk_results(draw, width, samples, seed, workers, chunk_moments):
+        total = count + size
+        delta = chunk_mean - mean
+        mean += delta * (size / total)
+        m2 += chunk_m2 + delta * delta * (count * size / total)
+        count = total
+    return [_report(mu, sq, samples, complex(x), seed) for mu, sq, x in zip(mean, m2, exact)]
 
 
 def sample_density_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, n, n) stack of flat-ensemble density matrices.
 
-    Traces of G G^dagger are strictly positive in exact arithmetic; rows that
-    underflow to zero are redrawn.
+    The stack is a transposed view of an (n, n, count) array. ``rng`` draws
+    the real and imaginary parts of G[i, j] for every sample at once, as one
+    (2, n, n, count) array. The result is exactly Hermitian, with an exactly
+    zero imaginary diagonal. Traces of G G^dagger are strictly positive in exact
+    arithmetic; samples that underflow to zero are redrawn.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -169,16 +190,25 @@ def sample_density_batch(n: int, count: int, rng: np.random.Generator) -> np.nda
         raise ValueError("count must be non-negative")
 
     def build(rows: int) -> np.ndarray:
-        """G G^dagger for ``rows`` fresh draws of G."""
-        z = rng.standard_normal((2, rows, n, n))  # real and imaginary parts; then conj(G), same bytes
-        g = np.empty((rows, n, n), dtype=complex)
-        g.real, g.imag = z
-        g *= np.sqrt(0.5)
-        return np.einsum("sij,skj->sik", g, np.conjugate(g, out=z.reshape(-1).view(complex).reshape(g.shape)))
+        """G G^dagger for ``rows`` fresh draws of G, summed in real arithmetic with the samples last."""
+        x, y = z = rng.standard_normal((2, n, n, rows))
+        gram = np.empty((n, n, rows), dtype=complex)
+        re, im = gram.real, gram.imag
+        for i in range(n):
+            np.einsum("pjs,pjs->s", z[:, i], z[:, i], out=re[i, i])
+            im[i, i] = 0.0
+            # row i against rows k > i: Re = x_i.x_k + y_i.y_k, Im = y_i.x_k - x_i.y_k
+            np.einsum("pjs,pkjs->ks", z[:, i], z[:, i + 1 :], out=re[i, i + 1 :])
+            np.einsum("js,kjs->ks", y[i], x[i + 1 :], out=im[i, i + 1 :])
+            im[i, i + 1 :] -= np.einsum("js,kjs->ks", x[i], y[i + 1 :])
+            np.conjugate(gram[i, i + 1 :], out=gram[i + 1 :, i])
+        return gram.transpose(2, 0, 1)
 
     gram = build(count)
-    traces = _redraw_underflowed(gram, lambda g: np.einsum("sii->s", g).real, build)
-    return np.divide(gram, traces[:, None, None], out=gram)
+    traces = _redraw_underflowed(gram, lambda g: np.einsum("sii->s", g).real, build)[:, None, None]
+    np.divide(gram.real, traces, out=gram.real)
+    np.divide(gram.imag, traces, out=gram.imag)
+    return gram
 
 
 def sample_density(n: int, rng: np.random.Generator) -> np.ndarray:

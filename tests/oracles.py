@@ -4,8 +4,9 @@ Nothing here may call into the code paths it checks: determinants are
 cofactor expansions, dimensions come from the hook-content formula, U(N)
 characters are Weyl's determinant ratio over the eigenvalues, ensemble
 moments and class-monomial expansions list all K! permutations,
-dimension-weighted character sums go over irreps as in the paper, and
-integrals go through scipy quadrature in the tests themselves.
+dimension-weighted character sums go over irreps as in the paper, density
+matrices are the complex Gram product G G^H of one einsum, and integrals go
+through scipy quadrature in the tests themselves.
 """
 
 from fractions import Fraction
@@ -154,3 +155,14 @@ def moment_traces_oracle(mats):
         return complex(np.trace(prod))
 
     return complex(ensemble_normalization(len(mats), n) * permutation_sum(len(mats), n, weight))
+
+
+def density_oracle(z):
+    """(samples, n, n) stack of G G^H / tr(G G^H), G = z[0] + i z[1] from z of shape (2, n, n, samples).
+
+    The Gram product is one complex einsum, the sampler's kernel before it moved
+    to real arithmetic.
+    """
+    g = np.moveaxis(z[0] + 1j * z[1], -1, 0)
+    gram = np.einsum("sij,skj->sik", g, g.conj())
+    return gram / np.einsum("sii->s", gram).real[:, None, None]

@@ -1,10 +1,14 @@
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import density_oracle
 from rho_moments import montecarlo, verify
 from rho_moments.montecarlo import (
     MIN_SAMPLES,
@@ -21,6 +25,18 @@ from rho_moments.montecarlo import (
 )
 from rho_moments.classical import SimplexMomentSpec, DirichletSpec
 from rho_moments.quantum import EntryMomentSpec
+
+
+class Replay:
+    """Stands in for a Generator: ``standard_normal`` hands out copies of the given draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, shape):
+        z = self.draws.pop(0)
+        assert z.shape == shape
+        return z.copy()
 
 
 def haar_like_unitary(n, rng):
@@ -46,43 +62,59 @@ class TestSampleDensity:
 
     @pytest.mark.parametrize("n", (1, 2, 3, 8))
     def test_matches_gram_of_complex_gaussians_bit_for_bit(self, n):
-        # the sampler builds G in place; it must draw the same stream and give
-        # the same bits as G = (re + 1j*im)/sqrt(2), rho = G G^H / tr(G G^H)
+        # the sampler draws Re and Im of G[i, j] as one (2, n, n, count) array and
+        # sums each entry of G G^H in real arithmetic over the row pair
         batch = sample_density_batch(n, 1000, np.random.default_rng(n))
-        rng = np.random.default_rng(n)
-        g = rng.standard_normal((1000, n, n)) + 1j * rng.standard_normal((1000, n, n))
-        g *= np.sqrt(0.5)
-        gram = np.einsum("sij,skj->sik", g, g.conj())
-        expected = gram / np.einsum("sii->s", gram).real[:, None, None]
+        z = np.random.default_rng(n).standard_normal((2, n, n, 1000))
+        x, y = z
+        gram = np.empty((1000, n, n), dtype=complex)
+        for i in range(n):
+            for k in range(i, n):
+                gram[:, i, k].real = np.einsum("pjs,pjs->s", z[:, i], z[:, k])
+                gram[:, i, k].imag = np.einsum("js,js->s", y[i], x[k]) - np.einsum("js,js->s", x[i], y[k])
+                gram[:, k, i] = np.conjugate(gram[:, i, k])
+            gram[:, i, i].imag = 0.0
+        traces = np.einsum("sii->s", gram).real[:, None, None]
+        expected = np.empty_like(gram)
+        expected.real, expected.imag = gram.real / traces, gram.imag / traces
         assert batch.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_complex_gram_oracle(self, n):
+        z = np.random.default_rng(200 + n).standard_normal((2, n, n, 2000))
+        batch = sample_density_batch(n, 2000, Replay(z))
+        # each trace is 1, so this bound is relative to the matrix scale
+        assert float(np.abs(batch - density_oracle(z)).max()) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_is_exactly_hermitian(self, n):
+        rho = sample_density_batch(n, 2000, np.random.default_rng(300 + n))
+        adjoint = rho.conj().transpose(0, 2, 1)
+        off = ~np.eye(n, dtype=bool)
+        assert rho[:, off].tobytes() == adjoint[:, off].tobytes()
+        # the diagonal is real, with an imaginary part of +0.0 (its adjoint has -0.0)
+        diagonal = np.einsum("sii->si", rho)
+        assert diagonal.imag.tobytes() == np.zeros(diagonal.shape).tobytes()
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_underflowed_row_is_redrawn(self, n):
         rng = np.random.default_rng(n)
-        draws = []
-
-        class FirstRowZero:
-            # the first draw zeroes row 0, so that row's trace underflows
-            def standard_normal(self, shape):
-                z = rng.standard_normal(shape)
-                if not draws:
-                    z[:, 0] = 0.0
-                draws.append(z.copy())  # the sampler overwrites z with conj(G)
-                return z
-
-        batch = sample_density_batch(n, 5, FirstRowZero())
-        assert [d.shape for d in draws] == [(2, 5, n, n), (2, 1, n, n)]
+        first, second = rng.standard_normal((2, n, n, 5)), rng.standard_normal((2, n, n, 1))
+        first[..., 0] = 0.0  # sample 0's trace underflows, so it alone is drawn again
+        replay = Replay(first, second)
+        batch = sample_density_batch(n, 5, replay)
+        assert replay.draws == []
         rho = batch[0]
         assert float(np.abs(rho - rho.conj().T).max()) <= 1e-12
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-
-        def normalised(z):
-            g = (z[0] + 1j * z[1]) * np.sqrt(0.5)
-            gram = np.einsum("sij,skj->sik", g, g.conj())
-            return gram / np.einsum("sii->s", gram).real[:, None, None]
-
-        assert rho.tobytes() == normalised(draws[1])[0].tobytes()
-        assert batch[1:].tobytes() == normalised(draws[0][:, 1:]).tobytes()
+        # the redraw is written through the stack's view into sample 0 and leaves the
+        # others; einsum sums a one-sample draw in another order, so sample 0 is
+        # compared with a one-sample draw
+        assert rho.tobytes() == sample_density_batch(n, 1, Replay(second))[0].tobytes()
+        spliced = first.copy()
+        spliced[..., :1] = second
+        assert batch[1:].tobytes() == sample_density_batch(n, 5, Replay(spliced))[1:].tobytes()
+        np.testing.assert_allclose(batch, density_oracle(spliced), rtol=0, atol=1e-15)
 
     def test_mean_diagonal_entry(self):
         rng = np.random.default_rng(7)
@@ -103,6 +135,34 @@ class TestSampleDensity:
         b = rotated[:, 0, 0].real
         se = np.hypot(a.std(ddof=1) / np.sqrt(a.size), b.std(ddof=1) / np.sqrt(b.size))
         assert abs(a.mean() - b.mean()) <= 4 * se
+
+
+# Hex SHA-256 of sample_density_batch(n, 1000, default_rng(n)) for each n, one per line.
+SAMPLER_HASHES = """
+import hashlib, numpy as np
+from rho_moments.montecarlo import sample_density_batch
+for n in (1, 2, 3, 8):
+    print(hashlib.sha256(sample_density_batch(n, 1000, np.random.default_rng(n)).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"OPENBLAS_CORETYPE": "SandyBridge"},
+        # names missing from a build's dispatch list only warn; X86_V2 is the baseline and stays
+        {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+    ],
+    ids=["openblas-sandybridge", "numpy-no-avx2"],
+)
+def test_sampler_bits_do_not_depend_on_blas_or_simd_dispatch(setting, capsys):
+    package_root = str(Path(montecarlo.__file__).parents[1])
+    env = dict(os.environ, **setting)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-c", SAMPLER_HASHES], env=env, capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    exec(SAMPLER_HASHES, {})
+    assert fresh.stdout == capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -210,8 +270,8 @@ class TestSeedAloneFixesReports:
         spec = EntryMomentSpec(2, ((1, 2), (2, 1)))
         one = estimate_entry_moment(spec, 200_000, seed=3, workers=1)
         many = estimate_entry_moment(spec, 200_000, seed=3, workers=1000)
-        # 200000 samples of a 2 x 2 matrix are 4 chunks of at most 2**16
-        assert sizes == [1, min(os.cpu_count() or 1, 4)]
+        # 200000 samples of a 2 x 2 matrix are 13 chunks of at most 2**16 / 4
+        assert sizes == [1, min(os.cpu_count() or 1, 13)]
         assert many == one
 
     def test_chunks_are_sized_by_matrix_entries(self, monkeypatch):
@@ -223,10 +283,11 @@ class TestSeedAloneFixesReports:
             return draw(n, count, rng)
 
         monkeypatch.setattr(montecarlo, "sample_density_batch", recording)
-        estimate_purity(8, 2**15 + 1, seed=1, workers=1)
-        estimate_purity(4, 2**16 + 1, seed=1, workers=1)
-        # at most 2**20 entries per chunk: 2**14 samples of 8 x 8, 2**16 of 4 x 4
-        assert counts == [(8, 2**14), (8, 2**14), (8, 1), (4, 2**16), (4, 1)]
+        estimate_purity(8, 2**11 + 1, seed=1, workers=1)
+        estimate_purity(4, 2**12 + 1, seed=1, workers=1)
+        estimate_purity(3, 7282, seed=1, workers=1)
+        # at most 2**16 entries per chunk: 2**10 samples of 8 x 8, 2**12 of 4 x 4, 7281 of 3 x 3
+        assert counts == [(8, 2**10), (8, 2**10), (8, 1), (4, 2**12), (4, 1), (3, 7281), (3, 1)]
 
 
 class TestEstimateEntryMoment:
@@ -317,7 +378,7 @@ class TestKsEigenvalueCheck:
         assert a.p_value > 0.001 and b.p_value > 0.001
 
     def test_chunk_boundary(self):
-        # one sample past a full chunk: the second batch holds a single draw
+        # one sample past whole chunks: the last batch holds a single draw
         report = ks_eigenvalue_check(2**16 + 1, seed=65)
         assert report.sample_count == 2**16 + 1
         assert report.p_value > 0.001
@@ -362,43 +423,43 @@ PINNED_SAMPLES = 65537
 PINNED_REPORTS = {
     "purity-n2": (
         lambda m: [estimate_purity(2, m, 1)],
-        [("0x1.99adbf287efbbp-1", "0x0.0p+0", "0x1.0c48d59715f56p-11",
-          "0x1.999999999999ap-1", "0x0.0p+0", "0x1.33965ef63bd9fp-2")],
+        [("0x1.99bc73c83b44dp-1", "0x0.0p+0", "0x1.0b63aa7e2d0d5p-11",
+          "0x1.999999999999ap-1", "0x0.0p+0", "0x1.0af12b27412f3p-1")],
     ),
     "purity-n8": (
         lambda m: [estimate_purity(8, m, 2)],
-        [("0x1.f81b1b0d04547p-3", "0x0.0p+0", "0x1.50d91c07a04abp-14",
-          "0x1.f81f81f81f820p-3", "0x0.0p+0", "0x1.ac38acb1dbf0dp-4")],
+        [("0x1.f8030aaa6614fp-3", "0x0.0p+0", "0x1.50f6e26cdc5ecp-14",
+          "0x1.f81f81f81f820p-3", "0x0.0p+0", "0x1.5a05740a2ca97p-1")],
     ),
     "entries": (
         lambda m: estimate_entry_moments(
             [EntryMomentSpec(2, ((1, 1),)), EntryMomentSpec(2, ((1, 2),)), EntryMomentSpec(2, ((1, 2), (2, 1)))],
             m, 3,
         ),
-        [("0x1.005707e32c7cep-1", "0x0.0p+0", "0x1.ca0b597b26120p-11",
-          "0x1.0000000000000p-1", "0x0.0p+0", "0x1.852173ab19fcfp-1"),
-         ("0x1.e6b728d53df72p-12", "-0x1.9545c5008eacep-12", "0x1.ca4c3465e318dp-11",
-          "0x0.0p+0", "0x0.0p+0", "0x1.0fdfb5883803ap-1"),
-         ("0x1.9a27d6613bae9p-4", "-0x1.fc1c2dfeb451fp-67", "0x1.0c4972227e452p-12",
-          "0x1.999999999999ap-4", "0x0.0p+0", "0x1.c240a89e68c81p+0")],
+        [("0x1.0009a437aa5cdp-1", "0x0.0p+0", "0x1.cacca8136c00fp-11",
+          "0x1.0000000000000p-1", "0x0.0p+0", "0x1.584d821c3f371p-4"),
+         ("0x1.84e167a489d70p-14", "0x1.2b034631ed6c5p-12", "0x1.c988f62b67bf8p-11",
+          "0x0.0p+0", "0x0.0p+0", "0x1.4e9d610553d09p-2"),
+         ("0x1.98dae5e49ce32p-4", "0x1.77ae89c2083ecp-68", "0x1.0c9f4488d1764p-12",
+          "0x1.999999999999ap-4", "0x0.0p+0", "0x1.6b7b7d1a6c464p-1")],
     ),
     "mgf": (
         lambda m: [estimate_mgf(np.diag([0.1, -0.1]), 6, m, 4)],
-        [("0x1.003b1ab355f8fp+0", "0x0.0p+0", "0x1.6e4ce6884f742p-13",
-          "0x1.00418f357f381p+0", "0x0.0p+0", "0x1.20b9ebcb8b6eap-1")],
+        [("0x1.00450860456c2p+0", "0x0.0p+0", "0x1.6d0ffa07ba56bp-13",
+          "0x1.00418f357f381p+0", "0x0.0p+0", "0x1.37c3a21e35bfap-2")],
     ),
     "simplex": (
         lambda m: [estimate_simplex_moment(SimplexMomentSpec((2, 0, 1)), m, 5),
                    estimate_simplex_moment(SimplexMomentSpec((3,)), m, 5)],
-        [("0x1.1057cc31b8f80p-6", "0x0.0p+0", "0x1.2370b576d1b98p-14",
-          "0x1.1111111111111p-6", "0x0.0p+0", "0x1.457aacb190686p-1"),
+        [("0x1.120f830929845p-6", "0x0.0p+0", "0x1.244a290ecf287p-14",
+          "0x1.1111111111111p-6", "0x0.0p+0", "0x1.bdb552ab1dfdbp-1"),
          ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
           "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")],
     ),
     "dirichlet": (
         lambda m: [estimate_dirichlet_moment(DirichletSpec((1, 0), 1, 2), m, 6)],
-        [("0x1.98a3312ba290ap-4", "0x0.0p+0", "0x1.a73761db8d862p-12",
-          "0x1.999999999999ap-4", "0x0.0p+0", "0x1.2a19a44b4921dp-1")],
+        [("0x1.98dd79505c65bp-4", "0x0.0p+0", "0x1.a8bec009e7327p-12",
+          "0x1.999999999999ap-4", "0x0.0p+0", "0x1.c58b979f6b982p-2")],
     ),
 }
 
