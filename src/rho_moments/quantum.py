@@ -233,7 +233,7 @@ def eval_power_sums(a: numpy.ndarray, max_r: int) -> list[complex]:
     power = np.eye(a.shape[0], dtype=complex)
     out: list[complex] = []
     for _ in range(max_r):
-        power = power @ a
+        power = np.einsum("ij,jk->ik", power, a)  # not BLAS, whose bits depend on the build and CPU
         out.append(complex(np.trace(power)))
     return out
 
