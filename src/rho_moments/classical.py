@@ -135,7 +135,8 @@ def sample_simplex_batch(n_components: int, count: int, rng: numpy.random.Genera
     totals = _redraw_underflowed(
         draws, lambda d: d.sum(axis=1), lambda rows: rng.standard_exponential((rows, n_components))
     )
-    return draws / totals[:, None]
+    draws /= totals[:, None]
+    return draws
 
 
 def _redraw_underflowed(

@@ -149,11 +149,11 @@ def _estimate(
     """Mean of each consumer over ``samples`` draws, reported against ``exact``."""
 
     def chunk_moments(batch: np.ndarray) -> tuple[int, np.ndarray]:
-        """The chunk's size and, per consumer, the (re, im) means and sums of squared deviations."""
-        moments = np.empty((2, len(consumers), 2))
+        """The chunk's size and, per consumer, the (re, im) means and sums of squared deviations (im 0.0 if real)."""
+        moments = np.zeros((2, len(consumers), 2))
         for c, consume in enumerate(consumers):
             values = consume(batch)
-            for p, part in enumerate((np.real(values), np.imag(values))):
+            for p, part in enumerate((values.real, values.imag) if np.iscomplexobj(values) else (values,)):
                 # shifted by the first value, so constant values have m2 = 0 exactly, as in Welford's update
                 dev = part - part[0]
                 shift = dev.mean()

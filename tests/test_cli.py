@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import shlex
 import subprocess
@@ -469,17 +470,49 @@ class TestVerifyCommand:
         assert result.exit_code == 2
 
 
-class TestMmapThreshold:
+# Two threads allocate, touch and free two 1 MiB arrays 50 times, as the Monte Carlo
+# workers do with chunk arrays; prints the minor faults of the round after a warm-up.
+CHUNK_FAULTS_SCRIPT = """
+import resource
+import threading
+import numpy as np
+from rho_moments.cli import pin_allocator
+
+pin_allocator()
+
+
+def work():
+    for _ in range(50):
+        a, b = np.ones(1 << 17), np.ones(1 << 17)
+        del a, b
+
+
+def run_round():
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+
+run_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_round()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestPinAllocator:
     def test_every_command_pins_it(self, runner, monkeypatch):
         import rho_moments.cli
 
         calls = []
-        monkeypatch.setattr(rho_moments.cli, "pin_mmap_threshold", lambda: calls.append(1))
+        monkeypatch.setattr(rho_moments.cli, "pin_allocator", lambda: calls.append(1))
         result = runner.invoke(main, ["verify", "--suite", "classical", "--samples", "100"])
         assert result.exit_code in (0, 1), result.output
         assert calls == [1]
 
-    def test_sets_glibc_threshold(self, monkeypatch):
+    def test_sets_three_glibc_options(self, monkeypatch):
         import rho_moments.cli
 
         calls = []
@@ -490,22 +523,31 @@ class TestMmapThreshold:
 
         monkeypatch.setattr(rho_moments.cli.sys, "platform", "linux")
         monkeypatch.setattr(rho_moments.cli.ctypes, "CDLL", lambda name: FakeLibc())
-        rho_moments.cli.pin_mmap_threshold()
-        assert calls == [(-3, 2 << 20)]
+        rho_moments.cli.pin_allocator()
+        # M_MMAP_THRESHOLD 2 MiB, M_TRIM_THRESHOLD 8 MiB, M_ARENA_MAX 1
+        assert calls == [(-3, 2 << 20), (-1, 8 << 20), (-8, 1)]
 
     def test_libc_without_mallopt_is_left_alone(self, monkeypatch):
         import rho_moments.cli
 
         monkeypatch.setattr(rho_moments.cli.sys, "platform", "linux")
         monkeypatch.setattr(rho_moments.cli.ctypes, "CDLL", lambda name: object())
-        rho_moments.cli.pin_mmap_threshold()
+        rho_moments.cli.pin_allocator()
 
     def test_other_platforms_untouched(self, monkeypatch):
         import rho_moments.cli
 
         monkeypatch.setattr(rho_moments.cli.sys, "platform", "darwin")
         monkeypatch.setattr(rho_moments.cli.ctypes, "CDLL", lambda name: pytest.fail("libc opened"))
-        rho_moments.cli.pin_mmap_threshold()
+        rho_moments.cli.pin_allocator()
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc", reason="glibc mallopt only"
+    )
+    def test_freed_chunks_are_reused_without_faults(self):
+        done = run_fresh(CHUNK_FAULTS_SCRIPT)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 1000
 
 
 @pytest.mark.parametrize(
