@@ -277,13 +277,13 @@ def estimate_mgf(
 ) -> EstimateReport:
     """Sample mean of the series sum_{k <= truncation} t^k / k! at t = tr(A rho), by Horner's rule.
 
-    ``a`` must be Hermitian. The mean's expectation is exactly the target
+    ``a`` must be Hermitian to within 1e-12 per entry. The mean's expectation is exactly the target
     sum_k ``mgf_coefficient(k, a)``, so no truncation bias limits ``a``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.conj().T, atol=1e-12):
+    if not np.allclose(a, a.conj().T, rtol=0, atol=1e-12):
         raise ValueError("a must be Hermitian")
     if truncation < 0:
         raise ValueError("truncation must be non-negative")

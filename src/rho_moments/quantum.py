@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import cache
+from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
 from .characters import dim_char_sum
@@ -50,7 +51,8 @@ __all__ = [
 
 # Largest K accepted per call: the permutation sums cost 2^K K chain steps plus
 # 3^K terms, ``omega_expand`` lists the K!/z_mu distinct cycle words of its
-# class. Overridable per call.
+# class, built and checked per set partition of 1..K. Overridable per call. A
+# refusal comes before any count; it names K!/z_mu only while K! < 2^63.
 DEFAULT_BOX_CAP = 8
 PERMUTATION_SUM_COST = "the permutation sum costs 2^K*K chain steps plus 3^K partition terms"
 
@@ -109,13 +111,23 @@ class EntryMomentSpec:
         return len(self.pairs)
 
 
+def _check_canonical(term: tuple[tuple[int, ...], ...], order: int) -> None:
+    """Refuse a term unless it covers 1..order once in sorted cycles, each led by its minimum."""
+    if sorted(i for cycle in term for i in cycle) != list(range(1, order + 1)):
+        raise ValueError(f"term {term} does not cover indices 1..{order}")
+    if any(not cycle or cycle[0] != min(cycle) for cycle in term) or list(term) != sorted(term):
+        raise ValueError(f"term {term} is not canonical: sorted cycles, each led by its minimum")
+
+
 class TraceProductExpr:
     """Formal sum of coefficient * products of trace factors.
 
     Each term is a tuple of cycles, each cycle an ordered tuple of 1-based
     observable indices led by its smallest index; the cycles of a term are
-    sorted, and every index 1..K appears once. Terms must come in this form, as
-    ``omega_expand`` builds them; zero coefficients are dropped.
+    sorted, and every index 1..K appears once. The constructor checks every
+    term a caller supplies for this form and drops zero coefficients;
+    ``omega_expand`` checks its words once per set partition instead and hands
+    them over unchecked.
     """
 
     __slots__ = ("_order", "_terms")
@@ -125,14 +137,16 @@ class TraceProductExpr:
         self._terms: dict[tuple[tuple[int, ...], ...], Fraction] = {}
         for term, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            indices = sorted(i for cycle in term for i in cycle)
-            if indices != list(range(1, self._order + 1)):
-                raise ValueError(f"term {term} does not cover indices 1..{self._order}")
-            if any(not cycle or cycle[0] != min(cycle) for cycle in term) or list(term) != sorted(term):
-                raise ValueError(f"term {term} is not canonical: sorted cycles, each led by its minimum")
-            self._terms[term] = coeff
+            if coeff:
+                _check_canonical(term, self._order)
+                self._terms[term] = coeff
+
+    @classmethod
+    def _checked(cls, order: int, terms: dict[tuple[tuple[int, ...], ...], Fraction]) -> TraceProductExpr:
+        """Wrap nonzero canonical ``terms`` that the caller has already checked."""
+        expr = cls.__new__(cls)
+        expr._order, expr._terms = order, terms
+        return expr
 
     @property
     def order(self) -> int:
@@ -255,16 +269,23 @@ def mgf_coefficient(k: int, a: numpy.ndarray) -> complex:
     return complex(Fraction(1, _rising_product(k, n)) * total)
 
 
-def _cycle_words(rest: tuple[int, ...], owed: tuple[int, ...]):
-    """Splits of ``rest`` into owed[L-1] cycles of each length L, each led by its minimum, in that order."""
-    if not rest:
-        yield ()  # nothing is owed either, so the loop below is empty
-    for length in [L for L, count in enumerate(owed, start=1) if count]:
-        left = owed[: length - 1] + (owed[length - 1] - 1,) + owed[length:]
-        for chosen in combinations(rest[1:], length - 1):
-            for tail in _cycle_words(tuple(i for i in rest[1:] if i not in chosen), left):
-                for order in permutations(chosen):
-                    yield ((rest[0], *order), *tail)
+def _set_partitions(m: int, owed: tuple[int, ...], memo: dict) -> list[tuple[tuple[int, ...], ...]]:
+    """Splits of 1..m into owed[L-1] blocks of each length L, led by their minima, in lead order.
+
+    Those of the indices left after the first block are relabelled from ``memo[m - L, left]``.
+    """
+    if (m, owed) not in memo:
+        splits = [] if m else [()]  # nothing is owed either when m is 0
+        for length in [L for L, count in enumerate(owed, start=1) if count]:
+            left = owed[: length - 1] + (owed[length - 1] - 1,) + owed[length:]
+            for chosen in combinations(range(2, m + 1), length - 1):
+                relabel = (0, *[i for i in range(2, m + 1) if i not in chosen]).__getitem__
+                splits += [
+                    ((1, *chosen), *(tuple(map(relabel, block)) for block in tail))
+                    for tail in _set_partitions(m - length, left, memo)
+                ]
+        memo[m, owed] = splits
+    return memo[m, owed]
 
 
 def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CAP) -> TraceProductExpr:
@@ -274,13 +295,35 @@ def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CA
     t_1^{i_1} t_2^{i_2} ... into a sum over the K! assignments of the
     observables into cycles of the class pattern: K!/z_mu distinct cycle
     words, each arising z_mu = prod_L L^{i_L} i_L! times, listed once here.
+
+    The words of each set partition of 1..K into blocks of the class's lengths
+    (led by their minima, in lead order, memoised for this call by remaining
+    size and owed block counts) are the products of its blocks' cyclic orders
+    (lead, *permutation(others)). Each covers and leads its cycles as the
+    partition does, so the canonical form is checked once per partition, and
+    the word count against K!/z_mu.
     """
     if monomial.boxes() != k:
         raise ValueError(f"monomial has box weight {monomial.boxes()}, expected {k}")
-    words = class_order(monomial)
-    check_cap(k, max_boxes, f"K!/z_mu = {words} distinct terms")
-    z = Fraction(math.factorial(k), words)
-    return TraceProductExpr(k, dict.fromkeys(_cycle_words(tuple(range(1, k + 1)), monomial.counts), z))
+    if k > max_boxes:  # refuse before counting: K!/z_mu is named only while K! < 2^63
+        shown = f" = {class_order(monomial)}" if k <= 20 else ""
+        check_cap(k, max_boxes, f"K!/z_mu{shown} distinct terms")
+
+    @cache
+    def cyclic_orders(block: tuple[int, ...]) -> list[tuple[int, ...]]:
+        lead, *others = block
+        return [(lead, *order) for order in permutations(others)]
+
+    def words(blocks: tuple[tuple[int, ...], ...]):
+        _check_canonical(blocks, k)
+        return product(*map(cyclic_orders, blocks))
+
+    count = class_order(monomial)
+    listed = (word for blocks in _set_partitions(k, monomial.counts, {}) for word in words(blocks))
+    terms = dict.fromkeys(listed, Fraction(math.factorial(k), count))
+    if len(terms) != count:
+        raise ValueError(f"listed {len(terms)} distinct cycle words, not K!/z_mu = {count}")
+    return TraceProductExpr._checked(k, terms)
 
 
 def _validated_observables(observables: Sequence[numpy.ndarray]) -> tuple[list[numpy.ndarray], int]:

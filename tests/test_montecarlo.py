@@ -364,6 +364,12 @@ class TestEstimateMgf:
         with pytest.raises(ValueError):
             estimate_mgf(np.array([[0.0, 1.0], [0.0, 0.0]]), 4, 1_000, seed=3)
 
+    def test_slightly_non_hermitian_rejected(self):
+        # 3e-6 is far inside numpy's default relative tolerance, but the exact target gains an
+        # imaginary part that no sample of the real t = Re tr(A rho) can match
+        with pytest.raises(ValueError, match="a must be Hermitian"):
+            estimate_mgf(np.array([[0, 0.3], [0.3 + 3e-6j, 0]]), 6, 20_000, seed=1)
+
 
 class TestEstimatePurity:
     @pytest.mark.parametrize("n", (2, 3))

@@ -201,6 +201,30 @@ class TestOmegaExpand:
         assert len(expr.terms) == factorial(k) // z
         assert all(type(c) is F and c == z for c in expr.terms.values())
 
+    @pytest.mark.parametrize("monomial, k", [(c, k) for k in (8, 9) for c in enumerate_cycle_types(k)], ids=str)
+    def test_lists_every_canonical_word_of_its_class(self, monomial, k):
+        # exactly K!/z_mu canonical words have type mu, so K!/z_mu distinct ones of that type are all of them
+        terms = omega_expand(monomial, k, max_boxes=9).terms
+        z = prod(length**m * factorial(m) for length, m in enumerate(monomial.counts, start=1))
+        assert len(terms) == factorial(k) // z
+        indices, lengths = list(range(1, k + 1)), list(monomial.cycle_lengths())
+        for term in terms:
+            assert sorted(itertools.chain.from_iterable(term)) == indices
+            assert all(cycle[0] == min(cycle) for cycle in term) and list(term) == sorted(term)
+            assert sorted(map(len, term)) == lengths
+        assert all(type(c) is F and c == z for c in terms.values())
+
+    @pytest.mark.parametrize(
+        "monomial, k",
+        [(CycleType((0,) * 1999 + (1,)), 2000), (CycleType((200000,)), 200000)],
+        ids=["2000-cycle", "identity"],
+    )
+    def test_cap_refuses_large_k_before_counting_its_words(self, monomial, k):
+        # K!/z_mu is 1999! (5733 digits), too long to print; for the identity it is 1, but
+        # computing it multiplies out 200000! twice
+        with pytest.raises(CapExceededError, match=rf"^K = {k} exceeds the cap of 8; K!/z_mu distinct terms$"):
+            omega_expand(monomial, k)
+
     def test_cap_refuses_nine_boxes_by_default(self):
         with pytest.raises(CapExceededError, match=r"K = 9 exceeds the cap of 8; K!/z_mu = 40320 distinct"):
             omega_expand(CycleType((0,) * 8 + (1,)), 9)
