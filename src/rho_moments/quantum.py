@@ -10,10 +10,10 @@ It is obtained by expanding the dimension-weighted character sum into class
 monomials of trace power sums and replacing each monomial by its sum of trace
 products over permutations, and is cross-checked against the K = 1, 2 closed
 forms, the K <= 4 weighted-character table, and Monte Carlo sampling. It is
-evaluated over set partitions instead of S_K, each block weighted by N times
-the trace sum over its cyclic orders, in O(2^K K) chain steps plus O(3^K)
-partition terms. All user-facing moments are normalized by the ensemble
-volume, so results are exact rationals (entry moments; also integer-valued
+evaluated in 2^(K-1) K chain steps, one pass over subsets: written from its
+least index, in order of those indices, each cycle opens at the least index
+not yet used. All user-facing moments are normalized by the ensemble volume,
+so results are exact rationals (entry moments; also integer-valued
 observables) or plain complex numbers; the (2*pi)-carrying raw values remain
 available through ``ScaledRational``. numpy is imported only inside the
 functions that take numeric matrices, so the exact engines run without it.
@@ -49,12 +49,12 @@ __all__ = [
     "purity_mean",
 ]
 
-# Largest K accepted per call: the permutation sums cost 2^K K chain steps plus
-# 3^K terms, ``omega_expand`` lists the K!/z_mu distinct cycle words of its
-# class, built and checked per set partition of 1..K. Overridable per call. A
-# refusal comes before any count; it names K!/z_mu only while K! < 2^63.
+# Largest K accepted per call: the permutation sums cost 2^(K-1) K chain steps,
+# ``omega_expand`` lists the K!/z_mu distinct cycle words of its class, built
+# and checked per set partition of 1..K. Overridable per call. A refusal comes
+# before any count; it names K!/z_mu only while K! < 2^63.
 DEFAULT_BOX_CAP = 8
-PERMUTATION_SUM_COST = "the permutation sum costs 2^K*K chain steps plus 3^K partition terms"
+PERMUTATION_SUM_COST = "the permutation sum costs 2^(K-1)*K chain steps"
 
 
 @dataclass(frozen=True)
@@ -338,37 +338,32 @@ def _validated_observables(observables: Sequence[numpy.ndarray]) -> tuple[list[n
             raise ValueError("observables must be square matrices of one dimension")
         if not np.isfinite(c).all():
             raise ValueError("observables must have finite entries")
+    if n < 1:
+        raise ValueError("observables must have dimension at least 1")
     return mats, n
 
 
-def _permutation_sum(k: int, n: int, start: Callable, grow: Callable, close: Callable):
+def _permutation_sum(k: int, n: int, grow: Callable, close: Callable):
     """Sum over pi in S_K of n^cycles(pi) * prod over cycles of the cycle weight.
 
-    Subsets of range(K) are bitmasks. A cycle on a block S is an ordering of S
-    from min(S); chain[S] sums their running products: ``start(a)`` for S = {a},
-    else ``grow`` of the pairs (chain[S - j], j) over the last element j. The
-    block weight is w(S) = close(chain[S], min S), and splitting off the block
-    holding min(S) gives f[S] = n * sum over B containing min S, B inside S, of
-    w(B) f[S - B]. That is O(2^K K) chain steps plus O(3^K) partition terms.
+    With each cycle written from its least index, in order of those indices,
+    every cycle opens at the least index not yet used. Over the bitmasks S
+    holding index 0, in increasing order, chains[S] sums the ways to use S with
+    one cycle open (closed cycles' weights times the open one's running
+    product), and closed[S] those with every cycle closed; closed[{}] = 1.
+    chains[S] = grow(prev, opened): prev extends the open cycle by j, pairs
+    (chains[S - j], j); opened opens one at a in the low run of ones of S,
+    nonzero pairs (closed[S - a], a). Then closed[S] = n * close(chains[S]).
     """
     size = 1 << k
-    chains, weights, f = [None] * size, [0] * size, [1] * size
-    for s in range(1, size):
-        low = s & -s
-        first, rest = low.bit_length() - 1, s ^ low
-        if rest:
-            last = [j for j in range(first + 1, k) if rest >> j & 1]
-            chains[s] = grow([(chains[s ^ 1 << j], j) for j in last])
-        else:
-            chains[s] = start(first)
-        weights[s] = close(chains[s], first)
-        total, sub = weights[low] * f[rest], rest
-        while sub:
-            if weights[low | sub]:
-                total += weights[low | sub] * f[rest ^ sub]
-            sub = (sub - 1) & rest
-        f[s] = n * total
-    return f[-1]
+    chains, closed = [None] * size, [1] + [0] * (size - 1)
+    for s in range(1, size, 2):
+        run = (~s & (s + 1)).bit_length() - 1
+        prev = [(chains[s ^ 1 << j], j) for j in range(1, k) if s >> j & 1]
+        opened = [(closed[s ^ 1 << a], a) for a in range(run) if closed[s ^ 1 << a]]
+        chains[s] = grow(prev, opened)
+        closed[s] = n * close(chains[s])
+    return closed[-1]
 
 
 def moment_traces(
@@ -376,15 +371,16 @@ def moment_traces(
 ) -> complex:
     """Mean of prod_j (C_j . rho) over the flat density-matrix ensemble.
 
-    The permutation sum of the module docstring, with chain[S] the N x N sum
-    of products over the cyclic orders of S. A total that comes out exactly
-    real, as for integer-valued observables, is normalized exactly.
+    The permutation sum of the module docstring over N x N chains: a step
+    multiplies by C_j, and a cycle closes with a trace. A total that comes out
+    exactly real, as for integer-valued observables, is normalized exactly.
     """
     mats, n = _validated_observables(observables)
     k = check_cap(len(mats), max_boxes, PERMUTATION_SUM_COST)
     total = _permutation_sum(
-        k, n, lambda a: mats[a], lambda prev: sum(chain @ mats[j] for chain, j in prev),
-        lambda chain, _: complex(chain.trace()),
+        k, n,
+        lambda prev, opened: sum(chain @ mats[j] for chain, j in prev) + sum(w * mats[a] for w, a in opened),
+        lambda chain: complex(chain.trace()),
     )
     if total.imag == 0 and math.isfinite(total.real):
         total = Fraction(total.real)
@@ -394,9 +390,9 @@ def moment_traces(
 def entry_moment(spec: EntryMomentSpec, *, max_boxes: int = DEFAULT_BOX_CAP) -> Fraction:
     """Exact mean of prod_p rho[i_p, j_p] over the flat ensemble.
 
-    A single-entry observable keeps one nonzero row, so chain[S] is row
-    i_min(S) times an integer count per end column, and a block closes where
-    that column meets i_min(S): the sum stays in integer arithmetic.
+    A single-entry observable keeps one nonzero entry, so a chain is an
+    integer count per (row its open cycle starts on, column it ends on), and
+    a cycle closes where the two meet: the sum stays in integer arithmetic.
     """
     k = check_cap(spec.order(), max_boxes, PERMUTATION_SUM_COST)
     n = spec.dimension
@@ -405,14 +401,17 @@ def entry_moment(spec: EntryMomentSpec, *, max_boxes: int = DEFAULT_BOX_CAP) -> 
     if sorted(rows) != sorted(cols):
         return Fraction(0)  # no cycle closes unless the columns rearrange the rows
 
-    def grow(prev: list[tuple[dict[int, int], int]]) -> dict[int, int]:
-        ends: dict[int, int] = {}
+    def grow(prev: list, opened: list) -> dict[tuple[int, int], int]:
+        ends: dict[tuple[int, int], int] = {}
         for chain, j in prev:
-            if chain.get(rows[j]):
-                ends[cols[j]] = ends.get(cols[j], 0) + chain[rows[j]]
+            for (row, col), count in chain.items():
+                if col == rows[j]:
+                    ends[row, cols[j]] = ends.get((row, cols[j]), 0) + count
+        for weight, a in opened:
+            ends[rows[a], cols[a]] = ends.get((rows[a], cols[a]), 0) + weight
         return ends
 
-    total = _permutation_sum(k, n, lambda a: {cols[a]: 1}, grow, lambda chain, a: chain.get(rows[a], 0))
+    total = _permutation_sum(k, n, grow, lambda chain: sum(c for (row, col), c in chain.items() if row == col))
     return Fraction(total, _rising_product(k, n))
 
 

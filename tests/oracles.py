@@ -3,15 +3,17 @@
 Nothing here may call into the code paths it checks: determinants are
 cofactor expansions, dimensions come from the hook-content formula, U(N)
 characters are Weyl's determinant ratio over the eigenvalues, ensemble
-moments and class-monomial expansions list all K! permutations,
-dimension-weighted character sums go over irreps as in the paper, density
-matrices are the complex Gram product G G^H of one einsum, and integrals go
-through scipy quadrature in the tests themselves.
+moments and class-monomial expansions list all K! permutations (at larger K,
+ensemble moments are also summed over set partitions in two stages, as the
+subset engine did before it became one pass), dimension-weighted character
+sums go over irreps as in the paper, density matrices are the complex Gram
+product G G^H of one einsum, and integrals go through scipy quadrature in the
+tests themselves.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -155,6 +157,69 @@ def moment_traces_oracle(mats):
         return complex(np.trace(prod))
 
     return complex(ensemble_normalization(len(mats), n) * permutation_sum(len(mats), n, weight))
+
+
+def two_stage_permutation_sum(k, n, start, grow, close):
+    """``permutation_sum`` over set partitions, in O(2^K K) chain steps plus O(3^K) partition terms.
+
+    Subsets of range(K) are bitmasks. A cycle on a block S is an ordering of S
+    from min(S); chain[S] sums their running products: ``start(a)`` for S = {a},
+    else ``grow`` of the pairs (chain[S - j], j) over the last element j. The
+    block weight is w(S) = close(chain[S], min S), and splitting off the block
+    holding min(S) gives f[S] = n * sum over B containing min S, B inside S, of
+    w(B) f[S - B].
+    """
+    size = 1 << k
+    chains, weights, f = [None] * size, [0] * size, [1] * size
+    for s in range(1, size):
+        low = s & -s
+        first, rest = low.bit_length() - 1, s ^ low
+        if rest:
+            last = [j for j in range(first + 1, k) if rest >> j & 1]
+            chains[s] = grow([(chains[s ^ 1 << j], j) for j in last])
+        else:
+            chains[s] = start(first)
+        weights[s] = close(chains[s], first)
+        total, sub = weights[low] * f[rest], rest
+        while sub:
+            if weights[low | sub]:
+                total += weights[low | sub] * f[rest ^ sub]
+            sub = (sub - 1) & rest
+        f[s] = n * total
+    return f[-1]
+
+
+def entry_moment_two_stage(n, pairs):
+    """``entry_moment`` by the two-stage sum: chain[S] counts end columns of row i_min(S)."""
+    rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
+    if sorted(rows) != sorted(cols):
+        return Fraction(0)
+
+    def grow(prev):
+        ends = {}
+        for chain, j in prev:
+            if chain.get(rows[j]):
+                ends[cols[j]] = ends.get(cols[j], 0) + chain[rows[j]]
+        return ends
+
+    total = two_stage_permutation_sum(
+        len(pairs), n, lambda a: {cols[a]: 1}, grow, lambda chain, a: chain.get(rows[a], 0)
+    )
+    return ensemble_normalization(len(pairs), n) * total
+
+
+def moment_traces_two_stage(mats):
+    """``moment_traces`` by the two-stage sum, an exactly real total normalized exactly."""
+    mats = [np.asarray(c, dtype=complex) for c in mats]
+    k, n = len(mats), mats[0].shape[0]
+    total = two_stage_permutation_sum(
+        k, n, lambda a: mats[a], lambda prev: sum(chain @ mats[j] for chain, j in prev),
+        lambda chain, _: complex(chain.trace()),
+    )
+    if total.imag == 0 and isfinite(total.real):
+        total = Fraction(total.real)
+    return complex(ensemble_normalization(k, n) * total)
 
 
 def density_oracle(z):

@@ -346,16 +346,17 @@ class TestVerifyCommand:
     def test_perturbed_block_weight_fails(self, runner, monkeypatch):
         engine = rho_moments.quantum._permutation_sum
 
-        def corrupted(k, n, start, grow, close):
-            # Block weights are closed in subset order, so the last one is the
-            # block of all K indices: add 1 to that weight only.
+        def corrupted(k, n, grow, close):
+            # Chains are closed once per subset holding index 0, in subset order,
+            # so the last of the 2^(K-1) closes is the chain of all K indices:
+            # add 1 to that weight only.
             closed = itertools.count(1)
 
-            def close_wrongly(chain, first):
-                weight = close(chain, first)
-                return weight + 1 if next(closed) == (1 << k) - 1 else weight
+            def close_wrongly(chain):
+                weight = close(chain)
+                return weight + 1 if next(closed) == 1 << (k - 1) else weight
 
-            return engine(k, n, start, grow, close_wrongly)
+            return engine(k, n, grow, close_wrongly)
 
         monkeypatch.setattr(rho_moments.quantum, "_permutation_sum", corrupted)
         result = runner.invoke(

@@ -25,9 +25,11 @@ from rho_moments.quantum import (
 
 from oracles import (
     entry_moment_oracle,
+    entry_moment_two_stage,
     exact_det,
     hook_content_dim,
     moment_traces_oracle,
+    moment_traces_two_stage,
     omega_expand_oracle,
     weyl_ratio_character,
 )
@@ -306,6 +308,10 @@ class TestMomentTraces:
         with pytest.raises(ValueError, match="one dimension"):
             moment_traces([np.eye(2), np.eye(3)])
 
+    def test_empty_observables_rejected(self):
+        with pytest.raises(ValueError, match="dimension at least 1"):
+            moment_traces([np.zeros((0, 0))])
+
     @pytest.mark.parametrize("bad", (np.nan, np.inf, complex(0, -np.inf)))
     def test_non_finite_observable_rejected(self, bad):
         c = np.eye(2, dtype=complex)
@@ -368,6 +374,14 @@ class TestEntryMoment:
                 spec = EntryMomentSpec(n, tuple((i, i) for i in rows))
                 assert entry_moment(spec) == simplex_moment(SimplexMomentSpec(powers)) / norm
 
+    @pytest.mark.parametrize("k", range(10, 15))
+    def test_diagonal_is_dirichlet_past_the_default_cap(self, k):
+        norm = simplex_moment(SimplexMomentSpec((1, 1)))
+        for ones in range(k + 1):
+            spec = EntryMomentSpec(2, ((1, 1),) * ones + ((2, 2),) * (k - ones))
+            expected = simplex_moment(SimplexMomentSpec((ones + 1, k - ones + 1))) / norm
+            assert entry_moment(spec, max_boxes=k) == expected
+
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
             entry_moment(EntryMomentSpec(2, ((1, 1),) * 9))
@@ -394,6 +408,34 @@ class TestSubsetEngineAgainstPermutationOracle:
         mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(k)]
         expected = moment_traces_oracle(mats)
         assert abs(moment_traces(mats) - expected) <= 1e-12 * abs(expected)
+
+
+class TestSubsetEngineAgainstTwoStageOracle:
+    """The one-pass subset recursion against the two-stage set-partition sum in ``oracles``."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_entry_moments_random_balanced(self, n):
+        rng = np.random.default_rng(2000 + n)
+        for _ in range(100):
+            k = int(rng.integers(1, 10))
+            rows = rng.integers(1, n + 1, size=k)
+            pairs = tuple(zip(rows.tolist(), rng.permutation(rows).tolist()))
+            assert entry_moment(EntryMomentSpec(n, pairs), max_boxes=9) == entry_moment_two_stage(n, pairs)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_moment_traces_random_complex(self, k):
+        rng = np.random.default_rng(3000 + k)
+        for n in (1, 2, 3, 4):
+            mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(k)]
+            expected = moment_traces_two_stage(mats)
+            assert abs(moment_traces(mats) - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_moment_traces_integer_observables_exact(self, k):
+        rng = np.random.default_rng(4000 + k)
+        for n in (1, 2, 3):
+            mats = [rng.integers(-2, 3, size=(n, n)) for _ in range(k)]
+            assert moment_traces(mats) == moment_traces_two_stage(mats)
 
 
 class TestPurityMean:
