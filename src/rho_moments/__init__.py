@@ -52,11 +52,10 @@ __version__ = "0.1.0"
 
 _MONTECARLO_NAMES = {
     "EstimateReport",
-    "KsReport",
     "estimate_entry_moment",
+    "estimate_lambda_min_law",
     "estimate_mgf",
     "estimate_purity",
-    "ks_eigenvalue_check",
     "sample_density",
 }
 
@@ -93,12 +92,11 @@ __all__ = [
     "entry_moment",
     "purity_mean",
     "EstimateReport",
-    "KsReport",
     "sample_density",
     "estimate_entry_moment",
     "estimate_purity",
     "estimate_mgf",
-    "ks_eigenvalue_check",
+    "estimate_lambda_min_law",
     "CapExceededError",
     "__version__",
 ]

@@ -5,24 +5,20 @@ square matrix of independent standard complex Gaussians; that normalization
 realizes the flat trace-one ensemble, which the purity, entry-moment, and
 eigenvalue-law checks validate rather than assume. The Gram product is built in
 real arithmetic from the real and imaginary parts of G, with the samples on the
-last axis. No sampler or consumer step applies BLAS, a complex ufunc multiply,
-``**`` or ``exp`` to the samples, whose rounding depends on the BLAS build or on
-numpy's SIMD dispatch level: powers are repeated products, and the mgf's
-exponential is its truncated series.
+last axis. No sampler or consumer step applies BLAS, LAPACK, a complex ufunc
+multiply, ``**`` or ``exp`` to the samples, whose rounding depends on the BLAS
+build or on numpy's SIMD dispatch level: powers are repeated products, the
+mgf's exponential is its truncated series, and lambda_min(rho) > t is read from
+the pivots of an LDL* factorisation of rho - t I.
 Every estimator builds its per-sample consumers and exact targets and hands
-them to one streaming path, which the KS check shares: the samples are cut into
-chunks of 2^16 sample entries (or one sample), and chunk c is drawn from its
-own stream ``SeedSequence(seed, spawn_key=(c,))`` in a thread pool task of its
-own. For the estimators each chunk reduces to the mean and the sum of squared
-deviations of each consumer's real and imaginary parts, and these are merged in
-chunk order (Chan, Golub and LeVeque 1983) into one mean and one sum of squares
-per component, from which each report is read. A report therefore depends on
-the seed alone; the worker count changes only the speed.
-
-The KS p-value is Kolmogorov's limit law Q(lam) = 2 sum_j (-1)^(j-1)
-exp(-2 j^2 lam^2) at lam = z + 1/(6 sqrt(n)) + (z - 1)/(4n), z = sqrt(n) D, the
-small-sample correction of Vrbik (2018); it is off the exact distribution by at
-most 2e-4 at n = 100, 3e-5 at n = 1000 and 3e-7 at n = 1e5.
+them to one streaming path: the samples are cut into chunks of 2^16 sample
+entries (or one sample), and chunk c is drawn from its own stream
+``SeedSequence(seed, spawn_key=(c,))`` in a thread pool task of its own. Each
+chunk reduces to the mean and the sum of squared deviations of each consumer's
+real and imaginary parts, and these are merged in chunk order (Chan, Golub and
+LeVeque 1983) into one mean and one sum of squares per component, from which
+each report is read. A report therefore depends on the seed alone; the worker
+count changes only the speed.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial, reduce
 from typing import Callable, Sequence
 
@@ -43,7 +40,6 @@ from .quantum import EntryMomentSpec, mgf_coefficient
 __all__ = [
     "MIN_SAMPLES",
     "EstimateReport",
-    "KsReport",
     "sample_density",
     "sample_density_batch",
     "estimate_entry_moment",
@@ -52,8 +48,8 @@ __all__ = [
     "estimate_mgf",
     "estimate_simplex_moment",
     "estimate_dirichlet_moment",
-    "ks_eigenvalue_check",
-    "larger_eigenvalue_cdf",
+    "lambda_min_law",
+    "estimate_lambda_min_law",
 ]
 
 # A chunk holds _CHUNK_ENTRIES sample entries, or one sample if that is wider:
@@ -79,14 +75,6 @@ class EstimateReport:
     std_error: float
     exact_value: complex
     z_score: float
-    sample_count: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class KsReport:
-    statistic: float
-    p_value: float
     sample_count: int
     seed: int
 
@@ -119,10 +107,11 @@ def _report(mean: np.ndarray, m2: np.ndarray, count: int, exact: complex, seed: 
     )
 
 
-def _chunk_results(
-    draw: _Draw, width: int, samples: int, seed: int, workers: int, consume: Callable[[np.ndarray], object]
-) -> list:
-    """``consume(batch)`` for each chunk of ``samples`` draws of ``width`` entries, in chunk order.
+def _estimate(
+    draw: _Draw, width: int, consumers: Sequence[Callable[[np.ndarray], np.ndarray]],
+    exact: Sequence[complex], samples: int, seed: int, workers: int,
+) -> list[EstimateReport]:
+    """Mean of each consumer over ``samples`` draws of ``width`` entries, reported against ``exact``.
 
     Chunk c is drawn from ``SeedSequence(seed, spawn_key=(c,))``, the c-th child
     of ``SeedSequence(seed).spawn``, in one pool task; the pool has
@@ -134,42 +123,30 @@ def _chunk_results(
     chunks = -(-samples // size)
     workers = min(max(1, int(workers)), chunks, os.cpu_count() or 1)
 
-    def chunk(c: int) -> object:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
-        return consume(draw(min(size, samples - c * size), rng))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk, range(chunks)))
-
-
-def _estimate(
-    draw: _Draw, width: int, consumers: Sequence[Callable[[np.ndarray], np.ndarray]],
-    exact: Sequence[complex], samples: int, seed: int, workers: int,
-) -> list[EstimateReport]:
-    """Mean of each consumer over ``samples`` draws, reported against ``exact``."""
-
-    def chunk_moments(batch: np.ndarray) -> tuple[int, np.ndarray]:
-        """The chunk's size and, per consumer, the (re, im) means and sums of squared deviations (im 0.0 if real)."""
+    def chunk_moments(c: int) -> tuple[int, np.ndarray]:
+        """Chunk c's size and, per consumer, the (re, im) means and sums of squared deviations (im 0.0 if real)."""
+        batch = draw(min(size, samples - c * size), np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,))))
         moments = np.zeros((2, len(consumers), 2))
-        for c, consume in enumerate(consumers):
+        for k, consume in enumerate(consumers):
             values = consume(batch)
             for p, part in enumerate((values.real, values.imag) if np.iscomplexobj(values) else (values,)):
                 # shifted by the first value, so constant values have m2 = 0 exactly, as in Welford's update
                 dev = part - part[0]
                 shift = dev.mean()
                 dev -= shift
-                moments[:, c, p] = part[0] + shift, np.multiply(dev, dev, out=dev).sum()
+                moments[:, k, p] = part[0] + shift, np.multiply(dev, dev, out=dev).sum()
         return len(batch), moments
 
     # Chan, Golub and LeVeque's pairwise update, one chunk at a time in chunk
     # order: the same float operations at any worker count.
     count, mean, m2 = 0, np.zeros((len(consumers), 2)), np.zeros((len(consumers), 2))
-    for size, (chunk_mean, chunk_m2) in _chunk_results(draw, width, samples, seed, workers, chunk_moments):
-        total = count + size
-        delta = chunk_mean - mean
-        mean += delta * (size / total)
-        m2 += chunk_m2 + delta * delta * (count * size / total)
-        count = total
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for rows, (chunk_mean, chunk_m2) in pool.map(chunk_moments, range(chunks)):
+            total = count + rows
+            delta = chunk_mean - mean
+            mean += delta * (rows / total)
+            m2 += chunk_m2 + delta * delta * (count * rows / total)
+            count = total
     return [_report(mu, sq, samples, complex(x), seed) for mu, sq, x in zip(mean, m2, exact)]
 
 
@@ -355,39 +332,45 @@ def estimate_dirichlet_moment(
     return _estimate(draw, n_big + 1, [consume], [exact], samples, seed, workers)[0]
 
 
-def larger_eigenvalue_cdf(x) -> np.ndarray:
-    """Exact CDF of the larger eigenvalue of a 2 x 2 flat-ensemble sample.
+def _positive_definite(t: float, batch: np.ndarray) -> np.ndarray:
+    """1.0 for each sample whose rho - t I is positive definite, else 0.0.
 
-    On the segment chi_0 + chi_1 = 1 with chi_0 >= chi_1 >= 0 the squared
-    difference weight normalizes to the density 6(2x-1)^2 on [1/2, 1], so the
-    CDF is (2x-1)^3 clipped to that interval.
+    Gaussian elimination on the lower triangle, samples last, in real arithmetic: the
+    matrix is positive definite when every pivot (the diagonal of its LDL*) is positive.
     """
-    c = np.clip(2.0 * np.asarray(x, dtype=float) - 1.0, 0.0, 1.0)
-    return c * c * c
+    x, y = batch.real.transpose(1, 2, 0).copy(), batch.imag.transpose(1, 2, 0).copy()
+    ok = np.ones(len(batch), dtype=bool)
+    with np.errstate(all="ignore"):  # a sample past a non-positive pivot is already refused
+        for p in range(len(x)):
+            x[p, p] -= t
+            ok &= x[p, p] > 0.0
+            for i in range(p + 1, len(x)):  # A[i, k] -= A[i, p] conj(A[k, p]) / A[p, p] for p < k <= i
+                u, v = x[i, p] / x[p, p], y[i, p] / x[p, p]
+                x[i, p + 1 : i + 1] -= u * x[p + 1 : i + 1, p] + v * y[p + 1 : i + 1, p]
+                y[i, p + 1 : i] -= v * x[p + 1 : i, p] - u * y[p + 1 : i, p]
+    return ok.astype(float)
 
 
-def _kstest(values: np.ndarray) -> tuple[float, float]:
-    """KS statistic and p-value of ``values`` against ``larger_eigenvalue_cdf``."""
-    n = len(values)
-    cdf = larger_eigenvalue_cdf(np.sort(values))
-    statistic = float(max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max()))
-    z = math.sqrt(n) * statistic
-    lam = z + 1.0 / (6.0 * math.sqrt(n)) + (z - 1.0) / (4.0 * n)
-    if lam < 0.2:  # Q(0.2) = 1 - 5e-13, and the series below needs ever more terms as lam falls to 0
-        return statistic, 1.0
-    p_value = 2.0 * sum((-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam) for j in range(1, 101))
-    return statistic, min(max(p_value, 0.0), 1.0)
+def lambda_min_law(n: int, t) -> Fraction:
+    """P(lambda_min(rho) > t) = (1 - N t)^(N^2 - 1) over the flat N x N ensemble, for t in [0, 1/N).
+
+    tr W ~ Gamma(N^2) is independent of rho = W / tr W (Zyczkowski and Sommers 2001), and
+    lambda_min(W) is exponential with rate N (Edelman 1988), so N lambda_min(rho) ~ Beta(1, N^2 - 1).
+    """
+    t = Fraction(t)
+    if n < 1 or not 0 <= t < Fraction(1, n):
+        raise ValueError(f"the law needs N >= 1 and t in [0, 1/N), got N = {n}, t = {t}")
+    return (1 - n * t) ** (n * n - 1)
 
 
-def _larger_eigenvalue(batch: np.ndarray) -> np.ndarray:
-    """Larger eigenvalue of each Hermitian 2 x 2 matrix, (a + d + sqrt((a-d)^2 + 4|b|^2)) / 2."""
-    a, d = batch[:, 0, 0].real, batch[:, 1, 1].real
-    return (a + d + np.hypot(a - d, 2.0 * np.abs(batch[:, 0, 1]))) / 2.0
+def estimate_lambda_min_law(
+    n: int, points: Sequence, samples: int, seed: int, *, workers: int = 1
+) -> list[EstimateReport]:
+    """Sample fraction of lambda_min(rho) > t against ``lambda_min_law(n, t)``, for each t in ``points``.
 
-
-def ks_eigenvalue_check(samples: int, seed: int) -> KsReport:
-    """Kolmogorov-Smirnov test of the sampled larger-eigenvalue law at n = 2."""
-    draw = partial(sample_density_batch, 2)
-    tops = _chunk_results(draw, 4, samples, seed, 1, _larger_eigenvalue)
-    statistic, p_value = _kstest(np.concatenate(tops))
-    return KsReport(statistic=statistic, p_value=p_value, sample_count=samples, seed=seed)
+    Each t is compared as ``float(t)``, and its target is the law at that float.
+    """
+    points = [float(t) for t in points]
+    consumers = [partial(_positive_definite, t) for t in points]
+    exact = [lambda_min_law(n, t) for t in points]
+    return _estimate(partial(sample_density_batch, n), n * n, consumers, exact, samples, seed, workers)

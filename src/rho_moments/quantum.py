@@ -374,9 +374,13 @@ def moment_traces(
     The permutation sum of the module docstring over N x N chains: a step
     multiplies by C_j, and a cycle closes with a trace. A total that comes out
     exactly real, as for integer-valued observables, is normalized exactly.
+    No chain overflows: each C_j is scaled by 2^-e_j, its largest |Re| or |Im| then in [1/2, 1)
+    (or 2^1021 up at most), and the multilinear moment by 2^(sum e_j).
     """
     mats, n = _validated_observables(observables)
     k = check_cap(len(mats), max_boxes, PERMUTATION_SUM_COST)
+    exponents = [max(math.frexp(max(abs(c.real).max(), abs(c.imag).max()))[1], -1021) for c in mats]
+    mats = [c * 2.0**-e for c, e in zip(mats, exponents)]
     total = _permutation_sum(
         k, n,
         lambda prev, opened: sum(chain @ mats[j] for chain, j in prev) + sum(w * mats[a] for w, a in opened),
@@ -384,7 +388,11 @@ def moment_traces(
     )
     if total.imag == 0 and math.isfinite(total.real):
         total = Fraction(total.real)
-    return complex(Fraction(1, _rising_product(k, n)) * total)
+    value = complex(Fraction(1, _rising_product(k, n)) * total)
+    try:
+        return complex(math.ldexp(value.real, sum(exponents)), math.ldexp(value.imag, sum(exponents)))
+    except OverflowError as exc:
+        raise ValueError("the moment does not fit a float") from exc
 
 
 def entry_moment(spec: EntryMomentSpec, *, max_boxes: int = DEFAULT_BOX_CAP) -> Fraction:

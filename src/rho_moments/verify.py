@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 
@@ -24,7 +25,6 @@ from .quantum import EntryMomentSpec
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
 Z_MAX = 4.0
-KS_P_MIN = 0.001
 
 
 @dataclass(frozen=True)
@@ -210,21 +210,19 @@ def _sampler_checks(samples: int, seed: int, workers: int) -> list[CheckResult]:
 
     batch_size = min(samples, 20000)
     worst_herm = worst_trace = 0.0
-    worst_eig = np.inf
+    positive = 0
     rng = np.random.default_rng(seed + 400)
     for n in (2, 3):
         batch = montecarlo.sample_density_batch(n, batch_size, rng)
         worst_herm = max(worst_herm, float(np.abs(batch - batch.conj().transpose(0, 2, 1)).max()))
-        worst_trace = max(
-            worst_trace, float(np.abs(np.einsum("sii->s", batch) - 1.0).max())
-        )
-        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(batch).min()))
-    invariants_ok = worst_herm <= 1e-12 and worst_trace <= 1e-12 and worst_eig >= -1e-10
+        worst_trace = max(worst_trace, float(np.abs(np.einsum("sii->s", batch) - 1.0).max()))
+        positive += int(montecarlo._positive_definite(-1e-10, batch).sum())
     checks.append(
         CheckResult(
             "density-sample-invariants",
-            invariants_ok,
-            f"max |rho-rho^H|={worst_herm:.1e}, max |tr-1|={worst_trace:.1e}, min eig={worst_eig:.1e}",
+            worst_herm <= 1e-12 and worst_trace <= 1e-12 and positive == 2 * batch_size,
+            f"max |rho-rho^H|={worst_herm:.1e}, max |tr-1|={worst_trace:.1e}, "
+            f"rho+1e-10*I positive definite in {positive}/{2 * batch_size}",
         )
     )
 
@@ -244,25 +242,21 @@ def _sampler_checks(samples: int, seed: int, workers: int) -> list[CheckResult]:
     checks.append(_z_check("entry-mc-offdiag-1/10", golden[0]))
     checks.append(_z_check("entry-mc-diag-3/10", golden[1]))
 
-    ks = montecarlo.ks_eigenvalue_check(min(samples, 100000), seed + 700)
-    checks.append(
-        CheckResult(
-            "ks-eigenvalue-law",
-            ks.p_value > KS_P_MIN,
-            f"statistic={ks.statistic:.4f}, p={ks.p_value:.4f}",
-        )
-    )
+    # N lambda_min(rho) ~ Beta(1, N^2 - 1), checked at t = j / (2 N^3) for j = 1, 2, 3
+    for n in (2, 3):
+        points = [Fraction(j, 2 * n**3) for j in (1, 2, 3)]
+        law = montecarlo.estimate_lambda_min_law(n, points, min(samples, 100000), seed + 700 + n, workers=workers)
+        checks.append(_z_check(f"lambda-min-law-n{n}", max(law, key=lambda r: r.z_score)))
 
-    control_rng = np.random.default_rng(seed + 800)
-    uniform_large = control_rng.uniform(0.5, 1.0, size=min(samples, 100000))
-    _, control_p = montecarlo._kstest(uniform_large)
-    checks.append(
-        CheckResult(
-            "ks-negative-control",
-            control_p < KS_P_MIN,
-            f"wrong sampler p={control_p:.2e} (must reject)",
-        )
-    )
+    # the N = 2 checks on Re(rho), real symmetric with trace one but of another eigenvalue law, must fail
+    def real_part(count: int, rng: np.random.Generator) -> np.ndarray:
+        return montecarlo.sample_density_batch(2, count, rng).real
+
+    consumers = [partial(montecarlo._positive_definite, j / 16) for j in (1, 2, 3)]
+    exact = [montecarlo.lambda_min_law(2, Fraction(j, 16)) for j in (1, 2, 3)]
+    control = montecarlo._estimate(real_part, 4, consumers, exact, min(samples, 10000), seed + 800, workers)
+    worst = max(r.z_score for r in control)
+    checks.append(CheckResult("lambda-min-law-control", worst > Z_MAX, f"Re(rho) worst |z| {worst:.1f} (must reject)"))
 
     return checks
 

@@ -37,12 +37,11 @@ from rho_moments.combinat import (
     enumerate_partitions,
 )
 from rho_moments.montecarlo import (
-    _kstest,
     estimate_entry_moments,
+    estimate_lambda_min_law,
     estimate_mgf,
     estimate_purity,
     estimate_simplex_moment,
-    ks_eigenvalue_check,
 )
 from rho_moments.quantum import (
     EntryMomentSpec,
@@ -62,6 +61,7 @@ from test_characters import (
     WEIGHTED_SUMS,
     random_distinct_spectrum_matrix,
 )
+from test_montecarlo import real_part_reports
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -271,15 +271,19 @@ def test_c12_mgf_cross_check():
 
 
 def test_c13_sampler_eigenvalue_law():
-    report = ks_eigenvalue_check(100_000, seed=9500)
-    control_rng = np.random.default_rng(9501)
-    _, control_p = _kstest(control_rng.uniform(0.5, 1.0, 100_000))
-    ok = report.p_value > 0.001 and control_p < 0.001
+    # N lambda_min(rho) ~ Beta(1, N^2 - 1) at N = 2, 3, and Re(rho), a real trace-one ensemble, as the control
+    worst_z = 0.0
+    for n in (2, 3):
+        points = [F(j, 2 * n**3) for j in (1, 2, 3)]
+        reports = estimate_lambda_min_law(n, points, 100_000, seed=9500 + n)
+        worst_z = max(worst_z, *(r.z_score for r in reports))
+    control_z = max(r.z_score for r in real_part_reports(10_000, 9501))
+    ok = worst_z <= Z_MAX and control_z > Z_MAX
     conclude(
         13,
-        "KS eigenvalue law and negative control",
+        "lambda_min law and negative control",
         ok,
-        f"p={report.p_value:.3f}, control p={control_p:.1e}",
+        f"worst z={worst_z:.2f}, control off by {control_z:.1f} standard errors",
     )
 
 

@@ -44,12 +44,11 @@ PUBLIC_NAMES = {
     "entry_moment",
     "purity_mean",
     "EstimateReport",
-    "KsReport",
     "sample_density",
     "estimate_entry_moment",
     "estimate_purity",
     "estimate_mgf",
-    "ks_eigenvalue_check",
+    "estimate_lambda_min_law",
     "CapExceededError",
     "__version__",
 }

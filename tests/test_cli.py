@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import rho_moments.montecarlo
 import rho_moments.quantum
 import rho_moments.verify
 from rho_moments.characters import PowerSumPoly
@@ -400,6 +401,22 @@ class TestVerifyCommand:
         assert result.exit_code == 1
         failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
         assert failed == ["det-vs-int-lemma"]
+
+    def test_perturbed_eigenvalue_law_fails(self, runner, monkeypatch):
+        law = rho_moments.montecarlo.lambda_min_law
+
+        def corrupted(n, t):
+            # the N = 3 law 1/10 too high: only its own check sees it, not N = 2 or the control
+            return law(n, t) + Fraction(1, 10) * (n == 3)
+
+        monkeypatch.setattr(rho_moments.montecarlo, "lambda_min_law", corrupted)
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "sampler", "--samples", "5000", "--seed", "7", "--threads", "1"],
+        )
+        assert result.exit_code == 1
+        failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
+        assert failed == ["lambda-min-law-n3"]
 
     def test_perturbed_int_lemma_fails(self, runner, monkeypatch):
         integral = rho_moments.quantum.int_lemma_value

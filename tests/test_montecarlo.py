@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -15,11 +16,11 @@ from rho_moments.montecarlo import (
     estimate_dirichlet_moment,
     estimate_entry_moment,
     estimate_entry_moments,
+    estimate_lambda_min_law,
     estimate_mgf,
     estimate_purity,
     estimate_simplex_moment,
-    ks_eigenvalue_check,
-    larger_eigenvalue_cdf,
+    lambda_min_law,
     sample_density,
     sample_density_batch,
 )
@@ -142,16 +143,18 @@ class TestSampleDensity:
 
 
 # Hex SHA-256 of sample_density_batch(n, 1000, default_rng(n)) for each n, of
-# the eigenvalue CDF on 10^4 points, then of the repr of every estimator's report
-# and of the KS report at seeds 1-4, one per line.
+# the lambda_min > 1/54 indicator on the n = 3 batch, then of the repr of every
+# estimator's report at seeds 1-4, one per line.
 REPORT_HASHES = """
 import hashlib, numpy as np
+from fractions import Fraction
 from rho_moments.classical import DirichletSpec, SimplexMomentSpec
 from rho_moments.montecarlo import *
+from rho_moments.montecarlo import _positive_definite
 from rho_moments.quantum import EntryMomentSpec as Spec
 for n in (1, 2, 3, 8):
     print(hashlib.sha256(sample_density_batch(n, 1000, np.random.default_rng(n)).tobytes()).hexdigest())
-print(hashlib.sha256(larger_eigenvalue_cdf(np.random.default_rng(0).uniform(0.5, 1.0, 10000)).tobytes()).hexdigest())
+print(hashlib.sha256(_positive_definite(1 / 54, sample_density_batch(3, 1000, np.random.default_rng(3))).tobytes()).hexdigest())
 a = np.array([[0.2, 0.1 - 0.3j], [0.1 + 0.3j, -0.4]])
 for seed in (1, 2, 3, 4):
     for report in [
@@ -161,7 +164,7 @@ for seed in (1, 2, 3, 4):
         estimate_mgf(a, 6, 65537, seed),
         estimate_simplex_moment(SimplexMomentSpec((3, 0, 4)), 65537, seed),
         estimate_dirichlet_moment(DirichletSpec((1, 0), 1, 3), 65537, seed),
-        ks_eigenvalue_check(65537, seed),
+        *estimate_lambda_min_law(3, [Fraction(1, 54), Fraction(1, 27)], 65537, seed),
     ]:
         print(hashlib.sha256(repr(report).encode()).hexdigest())
 """
@@ -196,9 +199,9 @@ def test_report_bits_do_not_depend_on_blas_or_simd_dispatch(setting, capsys):
         lambda m: estimate_mgf(np.diag([0.1, -0.1]), 6, m, seed=1),
         lambda m: estimate_simplex_moment(SimplexMomentSpec((2, 0, 1)), m, seed=1),
         lambda m: estimate_dirichlet_moment(DirichletSpec((1, 0)), m, seed=1),
-        lambda m: ks_eigenvalue_check(m, seed=1),
+        lambda m: estimate_lambda_min_law(2, [Fraction(1, 16)], m, seed=1)[0],
     ],
-    ids=["entry", "entries", "purity", "mgf", "simplex", "dirichlet", "ks"],
+    ids=["entry", "entries", "purity", "mgf", "simplex", "dirichlet", "lambda-min"],
 )
 def test_requires_minimum_samples(estimate):
     with pytest.raises(ValueError, match="at least"):
@@ -251,6 +254,7 @@ WORKER_ESTIMATORS = {
     "mgf": lambda m, w: [estimate_mgf(np.diag([0.1, -0.1]), 6, m, 1, workers=w)],
     "simplex": lambda m, w: [estimate_simplex_moment(SimplexMomentSpec((2, 0, 1)), m, 1, workers=w)],
     "dirichlet": lambda m, w: [estimate_dirichlet_moment(DirichletSpec((1, 0), 1, 2), m, 1, workers=w)],
+    "lambda-min": lambda m, w: estimate_lambda_min_law(3, [Fraction(1, 54), Fraction(1, 18)], m, 1, workers=w),
 }
 
 
@@ -392,59 +396,86 @@ class TestSimplexEstimators:
         assert report.z_score == 0.0
 
 
-class TestKsEigenvalueCheck:
+def real_part_reports(samples, seed):
+    """The N = 2 law's reports at t = 1/16, 2/16, 3/16 on Re(rho): real symmetric, trace one, another law."""
+    consumers = [functools.partial(montecarlo._positive_definite, j / 16) for j in (1, 2, 3)]
+    exact = [lambda_min_law(2, Fraction(j, 16)) for j in (1, 2, 3)]
+    draw = lambda count, rng: sample_density_batch(2, count, rng).real  # noqa: E731
+    return montecarlo._estimate(draw, 4, consumers, exact, samples, seed, 1)
+
+
+class TestLambdaMinLaw:
+    """N lambda_min(rho) ~ Beta(1, N^2 - 1), read as indicator means through the one reduction."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 8))
+    def test_consumer_matches_eigvalsh(self, n):
+        batch = sample_density_batch(n, 20_000, np.random.default_rng(66 + n))
+        smallest = np.linalg.eigvalsh(batch)[:, 0]
+        for t in (-1e-10, 0.0, 1 / (4 * n**3), 1 / (2 * n**3), 3 / (2 * n**3), 0.5 / n, 1.0):
+            np.testing.assert_array_equal(montecarlo._positive_definite(t, batch), (smallest > t).astype(float))
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5))
+    def test_consumer_matches_eigvalsh_on_indefinite_matrices(self, n):
+        rng = np.random.default_rng(70 + n)
+        g = rng.standard_normal((5000, n, n)) + 1j * rng.standard_normal((5000, n, n))
+        batch = g + g.conj().transpose(0, 2, 1)
+        smallest = np.linalg.eigvalsh(batch)[:, 0]
+        for t in (-2.0, -0.5, 0.0, 0.5):
+            np.testing.assert_array_equal(montecarlo._positive_definite(t, batch), (smallest > t).astype(float))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_law_is_the_beta_tail(self, n):
+        for j in range(8):
+            t = Fraction(j, 8 * n)
+            assert float(lambda_min_law(n, t)) == pytest.approx(stats.beta(1, n * n - 1).sf(n * float(t)), rel=1e-12)
+
+    def test_law_at_one_dimension(self):
+        assert {lambda_min_law(1, t) for t in (0, 0.5, Fraction(99, 100))} == {1}
+
+    @pytest.mark.parametrize("n, t", [(2, -1e-10), (2, Fraction(-1, 10)), (2, Fraction(1, 2)), (3, 0.5), (8, 1), (0, 0)])
+    def test_law_refuses_points_outside_its_domain(self, n, t):
+        with pytest.raises(ValueError):
+            lambda_min_law(n, t)
+
     def test_law_accepted(self):
-        report = ks_eigenvalue_check(100_000, seed=61)
-        assert report.p_value > 0.001
+        reports = estimate_lambda_min_law(2, [Fraction(j, 16) for j in (1, 2, 3)], 100_000, seed=61)
+        assert [r.exact_value for r in reports] == [complex(lambda_min_law(2, Fraction(j, 16))) for j in (1, 2, 3)]
+        assert all(r.z_score <= 4.0 for r in reports)
+
+    def test_law_accepted_at_n8(self):
+        # mc-wide's dimension, which verify leaves out for its cost
+        reports = estimate_lambda_min_law(8, [Fraction(j, 1024) for j in (1, 2, 3)], 20_000, seed=68, workers=2)
+        assert all(r.z_score <= 4.0 for r in reports)
 
     def test_wrong_sampler_rejected(self):
-        rng = np.random.default_rng(62)
-        wrong = rng.uniform(0.5, 1.0, size=100_000)
-        _, p_value = montecarlo._kstest(wrong)
-        assert p_value < 0.001
+        assert max(r.z_score for r in real_part_reports(10_000, 62)) > 4.0
 
     def test_disjoint_seeds_compatible(self):
-        a = ks_eigenvalue_check(50_000, seed=63)
-        b = ks_eigenvalue_check(50_000, seed=64)
-        assert a.p_value > 0.001 and b.p_value > 0.001
+        for seed in (63, 64):
+            reports = estimate_lambda_min_law(3, [Fraction(j, 54) for j in (1, 2, 3)], 50_000, seed)
+            assert all(r.z_score <= 4.0 for r in reports)
 
     def test_chunk_boundary(self):
-        # one sample past whole chunks: the last batch holds a single draw
-        report = ks_eigenvalue_check(2**16 + 1, seed=65)
-        assert report.sample_count == 2**16 + 1
-        assert report.p_value > 0.001
+        # one sample past whole chunks of 2**14 samples at n = 2: the last batch holds a single draw
+        [report] = estimate_lambda_min_law(2, [Fraction(1, 8)], 2**15 + 1, seed=65)
+        assert report.sample_count == 2**15 + 1
+        assert report.z_score <= 4.0
 
-    def test_closed_form_larger_eigenvalue_matches_eigvalsh(self):
-        batch = sample_density_batch(2, 20_000, np.random.default_rng(66))
-        np.testing.assert_allclose(
-            montecarlo._larger_eigenvalue(batch), np.linalg.eigvalsh(batch)[:, -1], rtol=0, atol=1e-12
-        )
+    def test_report_keeps_its_bits(self):
+        # float.hex as in PINNED_REPORTS; 1/54 is no binary fraction, so the target is the law at float(1/54)
+        [report] = estimate_lambda_min_law(3, [Fraction(1, 54)], PINNED_SAMPLES, 7)
+        assert report.exact_value == complex(lambda_min_law(3, 1 / 54))
+        assert (report.estimate.real.hex(), report.estimate.imag.hex(), report.std_error.hex(),
+                report.exact_value.real.hex(), report.exact_value.imag.hex(), report.z_score.hex()) == PINNED_LAW
 
-    def test_cdf_shape(self):
-        xs = np.array([0.0, 0.5, 0.75, 1.0, 2.0])
-        np.testing.assert_allclose(larger_eigenvalue_cdf(xs), [0.0, 0.0, 0.125, 1.0, 1.0])
-
-    def test_statistic_matches_scipy(self):
-        values = montecarlo._larger_eigenvalue(sample_density_batch(2, 20_000, np.random.default_rng(67)))
-        statistic, _ = montecarlo._kstest(values)
-        assert abs(statistic - stats.kstest(values, larger_eigenvalue_cdf).statistic) <= 1e-15
-
-    # the largest |p - exact p| seen on a fine grid is 1.7e-4, 2.0e-5, 1.1e-6 and 2.2e-7 at these n
-    @pytest.mark.parametrize("n, tolerance", [(100, 2e-4), (1000, 3e-5), (20000, 1.5e-6), (100000, 3e-7)])
-    def test_p_value_matches_exact_distribution(self, n, tolerance):
-        for exact_p in np.geomspace(1e-5, 0.999, 40):
-            d = stats.kstwo.isf(exact_p, n)
-            statistic, p_value = montecarlo._kstest(sample_at_distance(d, n))
-            assert statistic == pytest.approx(d, abs=1e-12)
-            assert abs(p_value - stats.kstwo.sf(statistic, n)) <= tolerance, exact_p
-            assert (p_value > verify.KS_P_MIN) == (exact_p > verify.KS_P_MIN), exact_p
-        assert montecarlo._kstest(sample_at_distance(0.1 / np.sqrt(n), n))[1] == 1.0
-
-
-def sample_at_distance(d, n):
-    """n larger eigenvalues whose KS statistic against the law is d, for d >= 1/(2n)."""
-    cdf = np.minimum(np.arange(n) / n + d, 1.0)
-    return (1.0 + np.cbrt(cdf)) / 2.0
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_verify_checks_pass_at_the_benchmark_seeds(self, seed):
+        # 1e5 samples give the law checks and the control the counts they use at verify's 1e6
+        results = [r for r in verify.run_suite("sampler", 100_000, seed, 2) if r.name.startswith("lambda-min-law")]
+        assert [(r.name, r.passed) for r in results] == [
+            ("lambda-min-law-n2", True), ("lambda-min-law-n3", True), ("lambda-min-law-control", True)
+        ]
+        assert all(len(r.name) <= 25 for r in results) and "z=" not in results[-1].detail
 
 
 # float.hex of (estimate.real, estimate.imag, std_error, exact_value.real,
@@ -493,6 +524,11 @@ PINNED_REPORTS = {
           "0x1.999999999999ap-4", "0x0.0p+0", "0x1.c58b979f6b982p-2")],
     ),
 }
+
+
+# TestLambdaMinLaw.test_report_keeps_its_bits: the n = 3 indicator at t = 1/54, seed 7
+PINNED_LAW = ("0x1.430abcf5430abp-1", "0x0.0p+0", "0x1.ee218d8486661p-10",
+              "0x1.441a082356bbdp-1", "0x0.0p+0", "0x1.191ab26e765b2p+0")
 
 
 @pytest.mark.parametrize("name", PINNED_REPORTS)

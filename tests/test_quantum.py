@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import factorial, perm, prod
+from math import factorial, ldexp, perm, prod
 
 import numpy as np
 import pytest
@@ -311,6 +311,21 @@ class TestMomentTraces:
     def test_empty_observables_rejected(self):
         with pytest.raises(ValueError, match="dimension at least 1"):
             moment_traces([np.zeros((0, 0))])
+
+    @pytest.mark.parametrize("observables", ([1e160 * np.eye(2)] * 2, [1e150 * np.eye(3)] * 3, [np.diag([1e300, 1e-20])] * 2))
+    def test_moment_past_the_float_range_is_refused(self, observables):
+        # each would overflow a chain, and inf meeting 0 in a later product gave nan+nanj
+        with pytest.raises(ValueError, match="does not fit a float"):
+            moment_traces(observables)
+
+    def test_power_of_two_scaling_keeps_values(self):
+        # the values before the scaling: 1e150 * I squared rounds as 1e150 * 1e150, integer observables are exact
+        assert moment_traces([1e150 * np.eye(2)] * 2) == complex(1e150 * 1e150)
+        a, b, c = np.array([[3, -1], [-1, 2]]), np.array([[0, 2], [2, 5]]), np.array([[7, 0], [0, -4]])
+        assert moment_traces([a, b, c]) == complex(Fraction(29, 10))
+        assert moment_traces([a, b]) == complex(Fraction(28, 5))
+        assert moment_traces([a * 2.0**600, b * 2.0**400]) == ldexp(5.6, 1000)
+        assert moment_traces([5e-324 * np.eye(2)] * 2) == 0.0
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, complex(0, -np.inf)))
     def test_non_finite_observable_rejected(self, bad):
