@@ -29,7 +29,7 @@ __all__ = [
     "sample_simplex_batch",
 ]
 
-# Every Monte Carlo estimator and the KS check refuses smaller sample counts.
+# Every Monte Carlo estimator refuses smaller sample counts.
 MIN_SAMPLES = 100
 
 

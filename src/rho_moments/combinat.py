@@ -85,20 +85,19 @@ class Partition:
 class CycleType:
     """Cycle-length multiplicities (i_1, ..., i_K) labelling a class of S_K.
 
-    Internally stores exactly K slots, where K = sum(r * i_r); input with
-    missing or extra trailing zeros is renormalized to that length.
+    Stores the counts only up to the longest cycle; ``counts`` pads them with
+    zeros to K slots, where K = sum(r * i_r), when it is read.
     """
 
     __slots__ = ("_counts",)
 
     def __init__(self, counts: Iterable[int]):
-        clean = tuple(int(c) for c in counts)
+        clean = [int(c) for c in counts]
         if any(c < 0 for c in clean):
-            raise ValueError(f"negative multiplicity in cycle type {clean}")
+            raise ValueError(f"negative multiplicity in cycle type {tuple(clean)}")
         while clean and clean[-1] == 0:
-            clean = clean[:-1]
-        k = sum(r * c for r, c in enumerate(clean, start=1))
-        self._counts = clean + (0,) * (k - len(clean))
+            clean.pop()
+        self._counts = tuple(clean)
 
     @classmethod
     def from_cycle_lengths(cls, lengths: Iterable[int]) -> "CycleType":
@@ -112,7 +111,7 @@ class CycleType:
 
     @property
     def counts(self) -> tuple[int, ...]:
-        return self._counts
+        return self._counts + (0,) * (self.boxes() - len(self._counts))
 
     def boxes(self) -> int:
         """K, the number of letters being permuted."""
@@ -148,7 +147,7 @@ class CycleType:
         return hash(self._counts)
 
     def __repr__(self) -> str:
-        return f"CycleType({list(self._counts)})"
+        return f"CycleType({list(self.counts)})"
 
     def __str__(self) -> str:
         return self.label()
@@ -197,7 +196,7 @@ def class_order(cycle_type: CycleType) -> int:
     """Number of elements of S_K in the class: K! / prod(r^{i_r} * i_r!)."""
     k = cycle_type.boxes()
     denom = 1
-    for r, c in enumerate(cycle_type.counts, start=1):
+    for r, c in enumerate(cycle_type._counts, start=1):
         denom *= r**c * factorial(c)
     return factorial(k) // denom
 

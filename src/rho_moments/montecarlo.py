@@ -257,14 +257,11 @@ def estimate_mgf(
     ``a`` must be Hermitian to within 1e-12 per entry. The mean's expectation is exactly the target
     sum_k ``mgf_coefficient(k, a)``, so no truncation bias limits ``a``.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    (a,), n = quantum._validated_observables([a])
     if not np.allclose(a, a.conj().T, rtol=0, atol=1e-12):
         raise ValueError("a must be Hermitian")
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
-    n = a.shape[0]
     series = sum(mgf_coefficient(k, a) for k in range(truncation + 1))
 
     def consume(batch: np.ndarray) -> np.ndarray:

@@ -9,18 +9,22 @@ mean of a product of observable pairings against the random density matrix is
 It is obtained by expanding the dimension-weighted character sum into class
 monomials of trace power sums and replacing each monomial by its sum of trace
 products over permutations, and is cross-checked against the K = 1, 2 closed
-forms, the K <= 4 weighted-character table, and Monte Carlo sampling. It is
-evaluated in 2^(K-1) K chain steps, one pass over subsets: written from its
-least index, in order of those indices, each cycle opens at the least index
-not yet used. All user-facing moments are normalized by the ensemble volume,
-so results are exact rationals (entry moments; also integer-valued
-observables) or plain complex numbers; the (2*pi)-carrying raw values remain
-available through ``ScaledRational``. numpy is imported only inside the
-functions that take numeric matrices, so the exact engines run without it.
+forms, the K <= 4 weighted-character table, and Monte Carlo sampling. The
+permutation sum and the expansion route of ``omega_expand`` share one rule:
+written from its least index, in order of those indices, each cycle opens at
+the least index not yet used. So the sum takes 2^(K-1) K chain steps, one pass
+over subsets, and ``omega_expand`` lists canonical cycle words by construction,
+checking only their count. All user-facing moments are normalized by the
+ensemble volume, so results are exact rationals (entry moments; also
+integer-valued observables) or plain complex numbers; the (2*pi)-carrying raw
+values remain available through ``ScaledRational``. numpy is imported only
+inside the functions that take numeric matrices, so the exact engines run
+without it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,9 +54,10 @@ __all__ = [
 ]
 
 # Largest K accepted per call: the permutation sums cost 2^(K-1) K chain steps,
-# ``omega_expand`` lists the K!/z_mu distinct cycle words of its class, built
-# and checked per set partition of 1..K. Overridable per call. A refusal comes
-# before any count; it names K!/z_mu only while K! < 2^63.
+# ``omega_expand`` lists the K!/z_mu distinct cycle words of its class, each
+# block of a set partition of 1..K opening at the least unused index.
+# Overridable per call. A refusal comes before any count; it names K!/z_mu only
+# while K! < 2^63.
 DEFAULT_BOX_CAP = 8
 PERMUTATION_SUM_COST = "the permutation sum costs 2^(K-1)*K chain steps"
 
@@ -126,8 +131,8 @@ class TraceProductExpr:
     observable indices led by its smallest index; the cycles of a term are
     sorted, and every index 1..K appears once. The constructor checks every
     term a caller supplies for this form and drops zero coefficients;
-    ``omega_expand`` checks its words once per set partition instead and hands
-    them over unchecked.
+    ``omega_expand`` builds its words in this form, each cycle opening at the
+    least index not yet used, and hands them over unchecked.
     """
 
     __slots__ = ("_order", "_terms")
@@ -241,10 +246,8 @@ def eval_power_sums(a: numpy.ndarray, max_r: int) -> list[complex]:
 
     if max_r < 1:
         raise ValueError("max_r must be positive")
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    power = np.eye(a.shape[0], dtype=complex)
+    (a,), n = _validated_observables([a])
+    power = np.eye(n, dtype=complex)
     out: list[complex] = []
     for _ in range(max_r):
         power = np.einsum("ij,jk->ik", power, a)  # not BLAS, whose bits depend on the build and CPU
@@ -257,35 +260,38 @@ def mgf_coefficient(k: int, a: numpy.ndarray) -> complex:
 
     (N^2-1)!/(K+N^2-1)! * sum over K-box shapes with at most N rows of
     dim * character(A), which is ``dim_char_sum`` at the power sums of the
-    N x N matrix A; the K = 0 coefficient is 1 by convention.
+    N x N matrix A; the K = 0 coefficient is 1 by convention. A coefficient
+    past the float range raises ``ValueError``, as in ``moment_traces``.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
         return 1.0 + 0.0j
-    power_sums = eval_power_sums(a, k)  # refuses a non-square A
+    power_sums = eval_power_sums(a, k)  # refuses an empty, non-square or non-finite A
     n = len(a)
-    total = dim_char_sum(k, n).evaluate(power_sums)
-    return complex(Fraction(1, _rising_product(k, n)) * total)
+    try:
+        value = complex(Fraction(1, _rising_product(k, n)) * dim_char_sum(k, n).evaluate(power_sums))
+    except OverflowError:  # a power sum's power past the float range
+        value = complex("nan")
+    if not cmath.isfinite(value):
+        raise ValueError("the moment does not fit a float")
+    return value
 
 
-def _set_partitions(m: int, owed: tuple[int, ...], memo: dict) -> list[tuple[tuple[int, ...], ...]]:
-    """Splits of 1..m into owed[L-1] blocks of each length L, led by their minima, in lead order.
+def _set_partitions(rest: tuple[int, ...], owed: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """Splits of ``rest`` into owed[L-1] blocks of each length L, led by their minima, in lead order.
 
-    Those of the indices left after the first block are relabelled from ``memo[m - L, left]``.
+    As in ``_permutation_sum``, the block holding rest[0], the least unused index, opens first.
     """
-    if (m, owed) not in memo:
-        splits = [] if m else [()]  # nothing is owed either when m is 0
-        for length in [L for L, count in enumerate(owed, start=1) if count]:
-            left = owed[: length - 1] + (owed[length - 1] - 1,) + owed[length:]
-            for chosen in combinations(range(2, m + 1), length - 1):
-                relabel = (0, *[i for i in range(2, m + 1) if i not in chosen]).__getitem__
-                splits += [
-                    ((1, *chosen), *(tuple(map(relabel, block)) for block in tail))
-                    for tail in _set_partitions(m - length, left, memo)
-                ]
-        memo[m, owed] = splits
-    return memo[m, owed]
+    if not rest:
+        return [()]  # nothing is owed either
+    splits = []
+    for length in [L for L, count in enumerate(owed, start=1) if count]:
+        left = owed[: length - 1] + (owed[length - 1] - 1,) + owed[length:]
+        for others in combinations(rest[1:], length - 1):
+            block = (rest[0], *others)
+            splits += [(block, *tail) for tail in _set_partitions(tuple(i for i in rest if i not in block), left)]
+    return splits
 
 
 def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CAP) -> TraceProductExpr:
@@ -296,12 +302,11 @@ def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CA
     observables into cycles of the class pattern: K!/z_mu distinct cycle
     words, each arising z_mu = prod_L L^{i_L} i_L! times, listed once here.
 
-    The words of each set partition of 1..K into blocks of the class's lengths
-    (led by their minima, in lead order, memoised for this call by remaining
-    size and owed block counts) are the products of its blocks' cyclic orders
-    (lead, *permutation(others)). Each covers and leads its cycles as the
-    partition does, so the canonical form is checked once per partition, and
-    the word count against K!/z_mu.
+    The words are built by the permutation sum's rule: each block of a set
+    partition of 1..K into the class's lengths opens at the least index not
+    yet used, so the words, the products of the blocks' cyclic orders
+    (lead, *permutation(others)), are canonical by construction. Their count
+    is checked against K!/z_mu.
     """
     if monomial.boxes() != k:
         raise ValueError(f"monomial has box weight {monomial.boxes()}, expected {k}")
@@ -314,12 +319,9 @@ def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CA
         lead, *others = block
         return [(lead, *order) for order in permutations(others)]
 
-    def words(blocks: tuple[tuple[int, ...], ...]):
-        _check_canonical(blocks, k)
-        return product(*map(cyclic_orders, blocks))
-
     count = class_order(monomial)
-    listed = (word for blocks in _set_partitions(k, monomial.counts, {}) for word in words(blocks))
+    partitions = _set_partitions(tuple(range(1, k + 1)), monomial.counts)
+    listed = (word for blocks in partitions for word in product(*map(cyclic_orders, blocks)))
     terms = dict.fromkeys(listed, Fraction(math.factorial(k), count))
     if len(terms) != count:
         raise ValueError(f"listed {len(terms)} distinct cycle words, not K!/z_mu = {count}")

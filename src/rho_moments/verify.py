@@ -248,13 +248,14 @@ def _sampler_checks(samples: int, seed: int, workers: int) -> list[CheckResult]:
         law = montecarlo.estimate_lambda_min_law(n, points, min(samples, 100000), seed + 700 + n, workers=workers)
         checks.append(_z_check(f"lambda-min-law-n{n}", max(law, key=lambda r: r.z_score)))
 
-    # the N = 2 checks on Re(rho), real symmetric with trace one but of another eigenvalue law, must fail
+    # the N = 2 checks on Re(rho), real symmetric with trace one but of another eigenvalue law, must fail;
+    # always at 10000 samples, as fewer do not reject it reliably
     def real_part(count: int, rng: np.random.Generator) -> np.ndarray:
         return montecarlo.sample_density_batch(2, count, rng).real
 
     consumers = [partial(montecarlo._positive_definite, j / 16) for j in (1, 2, 3)]
     exact = [montecarlo.lambda_min_law(2, Fraction(j, 16)) for j in (1, 2, 3)]
-    control = montecarlo._estimate(real_part, 4, consumers, exact, min(samples, 10000), seed + 800, workers)
+    control = montecarlo._estimate(real_part, 4, consumers, exact, 10000, seed + 800, workers)
     worst = max(r.z_score for r in control)
     checks.append(CheckResult("lambda-min-law-control", worst > Z_MAX, f"Re(rho) worst |z| {worst:.1f} (must reject)"))
 

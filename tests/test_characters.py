@@ -212,6 +212,18 @@ class TestEvalPowerSums:
     def test_zero_matrix(self):
         assert eval_power_sums(np.zeros((2, 2)), 2) == [0.0, 0.0]
 
+    @pytest.mark.parametrize(
+        "a, wording",
+        [
+            (np.zeros((0, 0)), "dimension at least 1"),  # gave [0j, 0j]
+            (np.zeros((2, 3)), "square matrices"),
+            ([[np.inf]], "finite entries"),
+        ],
+    )
+    def test_refusals(self, a, wording):
+        with pytest.raises(ValueError, match=wording):
+            eval_power_sums(a, 2)
+
 
 class TestUnitaryCharEval:
     """The power-sum polynomial evaluated at the power sums of a matrix."""

@@ -402,6 +402,16 @@ class TestVerifyCommand:
         failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
         assert failed == ["det-vs-int-lemma"]
 
+    @pytest.mark.parametrize("seed", (747, 1207, 1416))
+    def test_control_rejects_re_rho_at_the_minimum_sample_count(self, runner, seed):
+        # at these seeds 100 control samples gave a worst |z| of 3.55-3.84, under the rejection bound
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "sampler", "--samples", "100", "--seed", str(seed), "--threads", "1"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "lambda-min-law-control     pass" in result.output
+
     def test_perturbed_eigenvalue_law_fails(self, runner, monkeypatch):
         law = rho_moments.montecarlo.lambda_min_law
 

@@ -48,6 +48,12 @@ class TestCycleType:
         assert CycleType((1, 1)).counts == (1, 1, 0)
         assert CycleType((1, 1)) == CycleType((1, 1, 0))
 
+    def test_stores_counts_only_up_to_the_longest_cycle(self):
+        # one 200000-cycle keeps one slot; the K-slot tuple is built only when read
+        assert CycleType((200000,))._counts == (200000,)
+        assert CycleType((0, 0, 1, 0, 0))._counts == (0, 0, 1)
+        assert repr(CycleType((2,))) == "CycleType([2, 0])"
+
     def test_boxes_and_cycles(self):
         c = CycleType((2, 1))  # (1^2, 2)
         assert c.boxes() == 4

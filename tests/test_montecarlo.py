@@ -368,6 +368,19 @@ class TestEstimateMgf:
         with pytest.raises(ValueError):
             estimate_mgf(np.array([[0.0, 1.0], [0.0, 0.0]]), 4, 1_000, seed=3)
 
+    @pytest.mark.parametrize(
+        "a, wording",
+        [
+            ([[np.inf]], "finite entries"),  # gave exact_value nan+nanj and z_score inf
+            (np.zeros((0, 0)), "dimension at least 1"),
+            (np.zeros((2, 3)), "square matrices"),
+            (np.diag([1e200, 1.0]), "the moment does not fit a float"),
+        ],
+    )
+    def test_matrix_refusals(self, a, wording):
+        with pytest.raises(ValueError, match=wording):
+            estimate_mgf(a, 3, 1_000, seed=1)
+
     def test_slightly_non_hermitian_rejected(self):
         # 3e-6 is far inside numpy's default relative tolerance, but the exact target gains an
         # imaginary part that no sample of the real t = Re tr(A rho) can match

@@ -123,6 +123,20 @@ class TestMgfCoefficient:
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert mgf_coefficient(1, a) == pytest.approx(np.trace(a) / 3)
 
+    @pytest.mark.parametrize("a", ([[np.inf]], [[1.0, np.nan], [0.0, 1.0]]))
+    def test_non_finite_matrix_rejected(self, a):
+        # an infinite entry gave nan+nanj
+        with pytest.raises(ValueError, match="finite entries"):
+            mgf_coefficient(3, a)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("a", (np.diag([1e200, 1.0]), np.diag([1e110, -1e110])))
+    def test_coefficient_past_the_float_range_is_refused(self, a):
+        # the first raised a bare OverflowError from complex exponentiation; in the second,
+        # tr(a^3) = inf - inf, and the coefficient came out nan+nanj
+        with pytest.raises(ValueError, match="the moment does not fit a float"):
+            mgf_coefficient(3, a)
+
     @pytest.mark.parametrize("n", (2, 3, 4))
     @pytest.mark.parametrize("k", range(0, 7))
     def test_identity_series_term(self, n, k):
