@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .combinat import CycleType, Partition, class_order, enumerate_cycle_types
+from .combinat import CycleType, Partition, _without_trailing_zeros, enumerate_cycle_types
 
 __all__ = [
     "PowerSumPoly",
@@ -30,12 +30,6 @@ __all__ = [
     "weyl_dim",
     "dim_char_sum",
 ]
-
-
-def _strip_trailing_zeros(key: tuple[int, ...]) -> tuple[int, ...]:
-    while key and key[-1] == 0:
-        key = key[:-1]
-    return key
 
 
 class PowerSumPoly:
@@ -53,15 +47,22 @@ class PowerSumPoly:
         for key, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if coeff:
-                clean[_strip_trailing_zeros(tuple(int(e) for e in key))] = coeff
+                clean[_without_trailing_zeros(int(e) for e in key)] = coeff
         self._terms = clean
+
+    @classmethod
+    def _checked(cls, terms: dict[tuple[int, ...], Fraction]) -> PowerSumPoly:
+        """Wrap nonzero Fraction ``terms``, keyed without trailing zeros, that the caller has already checked."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self._terms)
 
     def coefficient(self, exponents: Iterable[int]) -> Fraction:
-        return self._terms.get(_strip_trailing_zeros(tuple(exponents)), Fraction(0))
+        return self._terms.get(_without_trailing_zeros(exponents), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PowerSumPoly):
@@ -104,13 +105,7 @@ class PowerSumPoly:
 
 def monomial_label(exponents: tuple[int, ...]) -> str:
     """Display form of a power-sum monomial, e.g. ``t1^2*t2``; constant is ``1``."""
-    pieces = []
-    for r, e in enumerate(exponents, start=1):
-        if e == 1:
-            pieces.append(f"t{r}")
-        elif e > 1:
-            pieces.append(f"t{r}^{e}")
-    return "*".join(pieces) if pieces else "1"
+    return "*".join(f"t{r}" if e == 1 else f"t{r}^{e}" for r, e in enumerate(exponents, start=1) if e) or "1"
 
 
 @cache
@@ -134,10 +129,7 @@ def _mn_character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
             continue
         height = sum(1 for x in beta if lowered < x < b)
         new_beta = sorted((x if x != b else lowered for x in beta), reverse=True)
-        m = len(new_beta)
-        new_parts = tuple(new_beta[i] - (m - 1 - i) for i in range(m))
-        while new_parts and new_parts[-1] == 0:
-            new_parts = new_parts[:-1]
+        new_parts = _without_trailing_zeros(x - (ell - 1 - i) for i, x in enumerate(new_beta))
         sign = -1 if height % 2 else 1
         total += sign * _mn_character(new_parts, rest)
     return total
@@ -158,19 +150,18 @@ def sym_character(irrep: Partition, cycle_type: CycleType) -> int:
 def unitary_char_poly(irrep: Partition) -> PowerSumPoly:
     """Power-sum expansion of the U(N) character for this shape.
 
-    The coefficient of the class monomial t^i is |class| * chi(class) / K!.
-    The result does not depend on N.
+    The coefficient of the class monomial t^i is chi(class) / z_i, that is
+    |class| * chi(class) / K!. The result does not depend on N.
     """
     k = irrep.boxes()
     if k < 1:
         raise ValueError("the shape must have at least one box")
-    kfact = factorial(k)
     terms: dict[tuple[int, ...], Fraction] = {}
     for cls in enumerate_cycle_types(k):
-        coeff = Fraction(class_order(cls) * sym_character(irrep, cls), kfact)
+        coeff = Fraction(sym_character(irrep, cls), cls.centralizer_order())
         if coeff:
-            terms[cls.counts] = coeff
-    return PowerSumPoly(terms)
+            terms[cls._counts] = coeff
+    return PowerSumPoly._checked(terms)
 
 
 def weyl_dim(irrep: Partition, n: int) -> int:
@@ -201,12 +192,13 @@ def dim_char_sum(k: int, n: int) -> PowerSumPoly:
     """Sum of dim(irrep) * character over all K-box irreps of U(N).
 
     By the Cauchy identity (module docstring) the coefficient of the class
-    monomial t^mu is |class mu| * n^cycles(mu) / K!; ``k = 0`` gives the
-    constant 1. The sum over irreps of ``weyl_dim`` times ``unitary_char_poly``
-    is the ``dim-char-sum-vs-characters`` check of ``verify``.
+    monomial t^mu is n^cycles(mu) / z_mu = |class mu| * n^cycles(mu) / K!,
+    one Fraction per class from its counts; ``k = 0`` gives the constant 1.
+    The sum over irreps of ``weyl_dim`` times ``unitary_char_poly`` is the
+    ``dim-char-sum-vs-characters`` check of ``verify``.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return PowerSumPoly(
-        {c.counts: Fraction(class_order(c) * n ** c.cycles(), factorial(k)) for c in enumerate_cycle_types(k)}
+    return PowerSumPoly._checked(
+        {c._counts: Fraction(n ** c.cycles(), c.centralizer_order()) for c in enumerate_cycle_types(k)}
     )

@@ -7,7 +7,7 @@ this module touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lgamma, log
+from math import factorial, lgamma, log, prod
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError
@@ -30,6 +30,14 @@ __all__ = [
 ]
 
 
+def _without_trailing_zeros(values: Iterable[int]) -> tuple[int, ...]:
+    """The values as a tuple, trailing zeros popped from a list in linear time."""
+    out = list(values)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 class Partition:
     """A weakly decreasing tuple of box counts, top row first.
 
@@ -40,9 +48,7 @@ class Partition:
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        clean = tuple(int(p) for p in parts)
-        while clean and clean[-1] == 0:
-            clean = clean[:-1]
+        clean = _without_trailing_zeros(int(p) for p in parts)
         if clean and clean[-1] < 0:
             raise ValueError(f"negative part in partition {clean}")
         for a, b in zip(clean, clean[1:]):
@@ -92,12 +98,17 @@ class CycleType:
     __slots__ = ("_counts",)
 
     def __init__(self, counts: Iterable[int]):
-        clean = [int(c) for c in counts]
+        clean = _without_trailing_zeros(int(c) for c in counts)
         if any(c < 0 for c in clean):
-            raise ValueError(f"negative multiplicity in cycle type {tuple(clean)}")
-        while clean and clean[-1] == 0:
-            clean.pop()
-        self._counts = tuple(clean)
+            raise ValueError(f"negative multiplicity in cycle type {clean}")
+        self._counts = clean
+
+    @classmethod
+    def _checked(cls, counts: tuple[int, ...]) -> CycleType:
+        """Wrap non-negative ``counts`` without trailing zeros that the caller has already checked."""
+        cycle_type = cls.__new__(cls)
+        cycle_type._counts = counts
+        return cycle_type
 
     @classmethod
     def from_cycle_lengths(cls, lengths: Iterable[int]) -> "CycleType":
@@ -123,20 +134,15 @@ class CycleType:
 
     def cycle_lengths(self) -> tuple[int, ...]:
         """The cycle lengths in weakly increasing order, e.g. (1, 1, 2)."""
-        out: list[int] = []
-        for r, c in enumerate(self._counts, start=1):
-            out.extend([r] * c)
-        return tuple(out)
+        return tuple(r for r, c in enumerate(self._counts, start=1) for _ in range(c))
+
+    def centralizer_order(self) -> int:
+        """z_mu = prod(r^{i_r} * i_r!), the order of the centralizer of one element of the class."""
+        return prod(r**c * factorial(c) for r, c in enumerate(self._counts, start=1))
 
     def label(self) -> str:
         """Display form like ``1^2,2`` for the class (1^2, 2)."""
-        pieces = []
-        for r, c in enumerate(self._counts, start=1):
-            if c == 1:
-                pieces.append(str(r))
-            elif c > 1:
-                pieces.append(f"{r}^{c}")
-        return ",".join(pieces)
+        return ",".join(str(r) if c == 1 else f"{r}^{c}" for r, c in enumerate(self._counts, start=1) if c)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CycleType):
@@ -184,21 +190,32 @@ def enumerate_partitions(k: int, max_rows: int) -> list[Partition]:
 def enumerate_cycle_types(k: int) -> list[CycleType]:
     """All classes of S_K, ordered as in character tables.
 
-    The order sorts the weakly increasing cycle-length tuples
-    lexicographically: (1^K) first, the full K-cycle last. ``k = 0`` yields
-    the one empty class.
+    The order sorts the weakly increasing cycle-length tuples lexicographically:
+    (1^K) first, the full K-cycle last. ``k = 0`` yields the one empty class. A
+    depth-first walk over ascending parts, the part that closes the remainder
+    last among its siblings, lists them in this order and keeps their counts.
     """
-    lengths = sorted(tuple(sorted(p.parts)) for p in enumerate_partitions(k, max(k, 1)))
-    return [CycleType.from_cycle_lengths(t) for t in lengths]
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    classes: list[CycleType] = []
+    counts = [0] * k
+
+    def walk(remaining: int, least: int) -> None:
+        if not remaining:  # the last part, ``least``, is the longest cycle
+            classes.append(CycleType._checked(tuple(counts[:least])))
+            return
+        for part in [*range(least, remaining // 2 + 1), remaining]:
+            counts[part - 1] += 1
+            walk(remaining - part, part)
+            counts[part - 1] -= 1
+
+    walk(k, 1)
+    return classes
 
 
 def class_order(cycle_type: CycleType) -> int:
     """Number of elements of S_K in the class: K! / prod(r^{i_r} * i_r!)."""
-    k = cycle_type.boxes()
-    denom = 1
-    for r, c in enumerate(cycle_type._counts, start=1):
-        denom *= r**c * factorial(c)
-    return factorial(k) // denom
+    return factorial(cycle_type.boxes()) // cycle_type.centralizer_order()
 
 
 # Largest exact factorial argument: 10000! has 35,660 digits, which reduce and

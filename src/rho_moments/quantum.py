@@ -278,19 +278,29 @@ def mgf_coefficient(k: int, a: numpy.ndarray) -> complex:
     return value
 
 
-def _set_partitions(rest: tuple[int, ...], owed: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """Splits of ``rest`` into owed[L-1] blocks of each length L, led by their minima, in lead order.
+def _set_partitions(k: int, owed: list[int]) -> list[tuple[tuple[int, ...], ...]]:
+    """Splits of 1..k into owed[L-1] blocks of each length L, led by their minima, in lead order.
 
-    As in ``_permutation_sum``, the block holding rest[0], the least unused index, opens first.
+    As in ``_permutation_sum``, the block holding the least unused index opens first. One recursion
+    carries the prefix of blocks, lowers ``owed`` around each block and appends each split to one list.
     """
-    if not rest:
-        return [()]  # nothing is owed either
-    splits = []
-    for length in [L for L, count in enumerate(owed, start=1) if count]:
-        left = owed[: length - 1] + (owed[length - 1] - 1,) + owed[length:]
-        for others in combinations(rest[1:], length - 1):
-            block = (rest[0], *others)
-            splits += [(block, *tail) for tail in _set_partitions(tuple(i for i in rest if i not in block), left)]
+    splits: list[tuple[tuple[int, ...], ...]] = []
+
+    def split(rest: list[int], prefix: tuple[tuple[int, ...], ...]) -> None:
+        if not rest:
+            splits.append(prefix)  # nothing is owed either
+            return
+        lead, others = rest[0], rest[1:]
+        for length in [L for L, count in enumerate(owed, start=1) if count]:
+            owed[length - 1] -= 1
+            if length == 1:
+                split(others, (*prefix, (lead,)))
+            else:
+                for chosen in combinations(others, length - 1):
+                    split([i for i in others if i not in chosen], (*prefix, (lead, *chosen)))
+            owed[length - 1] += 1
+
+    split(list(range(1, k + 1)), ())
     return splits
 
 
@@ -320,9 +330,9 @@ def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CA
         return [(lead, *order) for order in permutations(others)]
 
     count = class_order(monomial)
-    partitions = _set_partitions(tuple(range(1, k + 1)), monomial.counts)
+    partitions = _set_partitions(k, list(monomial._counts))
     listed = (word for blocks in partitions for word in product(*map(cyclic_orders, blocks)))
-    terms = dict.fromkeys(listed, Fraction(math.factorial(k), count))
+    terms = dict.fromkeys(listed, Fraction(monomial.centralizer_order()))
     if len(terms) != count:
         raise ValueError(f"listed {len(terms)} distinct cycle words, not K!/z_mu = {count}")
     return TraceProductExpr._checked(k, terms)

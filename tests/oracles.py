@@ -8,17 +8,20 @@ ensemble moments are also summed over set partitions in two stages, as the
 subset engine did before it became one pass), dimension-weighted character
 sums go over irreps as in the paper, density matrices are the complex Gram
 product G G^H of one einsum, and integrals go through scipy quadrature in the
-tests themselves.
+tests themselves. The S_K classes, the dimension-weighted coefficients and the
+set partitions behind ``omega_expand`` are also built the way the library built
+them before each became one pass: sorted partitions, |class| * N^cycles / K!,
+and a recursion that copies every tail.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, isfinite
 
 import numpy as np
 
 from rho_moments.characters import unitary_char_poly
-from rho_moments.combinat import enumerate_partitions
+from rho_moments.combinat import CycleType, class_order, enumerate_partitions
 
 
 def exact_det(rows):
@@ -76,6 +79,36 @@ def dim_char_sum_oracle(k, n):
         for key, coeff in unitary_char_poly(irrep).terms.items():
             total[key] = total.get(key, 0) + dim * coeff
     return {key: coeff for key, coeff in total.items() if coeff}
+
+
+def enumerate_cycle_types_oracle(k):
+    """The classes of S_K by sorting the partitions of K as weakly increasing cycle-length tuples."""
+    lengths = sorted(tuple(sorted(p.parts)) for p in enumerate_partitions(k, max(k, 1)))
+    return [CycleType.from_cycle_lengths(t) for t in lengths]
+
+
+def dim_char_sum_formula(k, n):
+    """(key, coefficient) pairs of ``dim_char_sum`` in class order: |class| * N^cycles / K!."""
+    return [
+        (c.counts[: max(c.cycle_lengths(), default=0)], Fraction(class_order(c) * n ** c.cycles(), factorial(k)))
+        for c in enumerate_cycle_types_oracle(k)
+    ]
+
+
+def set_partitions_oracle(rest, owed):
+    """Splits of the tuple ``rest`` into owed[L-1] blocks of each length L, led by their minima, in lead order.
+
+    The block holding rest[0] opens first, and each tail is a fresh recursion whose splits are copied.
+    """
+    if not rest:
+        return [()]
+    splits = []
+    for length in [L for L, count in enumerate(owed, start=1) if count]:
+        left = owed[: length - 1] + (owed[length - 1] - 1,) + owed[length:]
+        for others in combinations(rest[1:], length - 1):
+            block = (rest[0], *others)
+            splits += [(block, *tail) for tail in set_partitions_oracle(tuple(i for i in rest if i not in block), left)]
+    return splits
 
 
 def vandermonde_matrix(values):

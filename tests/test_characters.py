@@ -22,7 +22,7 @@ from rho_moments.combinat import (
 )
 from rho_moments.quantum import eval_power_sums
 
-from oracles import dim_char_sum_oracle, hook_content_dim, weyl_ratio_character
+from oracles import dim_char_sum_formula, dim_char_sum_oracle, hook_content_dim, weyl_ratio_character
 
 F = Fraction
 
@@ -179,6 +179,12 @@ class TestPowerSumPoly:
         with pytest.raises(ValueError):
             PowerSumPoly({(0, 0, 1): F(1)}).evaluate([1.0])
 
+    def test_keys_and_lookups_strip_many_trailing_zeros(self):
+        padded = (1,) + (0,) * 40000
+        poly = PowerSumPoly({padded: 1})
+        assert poly.terms == {(1,): F(1)}
+        assert poly.coefficient(padded) == 1
+
     def test_monomial_label(self):
         assert monomial_label((2, 1)) == "t1^2*t2"
         assert monomial_label(()) == "1"
@@ -306,3 +312,11 @@ class TestDimCharSum:
 
     def test_k0_constant(self):
         assert dim_char_sum(0, 3).terms == {(): F(1)}
+
+    @pytest.mark.parametrize("k", range(13))
+    @pytest.mark.parametrize("n", (1, 2, 4, 10))
+    def test_terms_in_class_order(self, k, n):
+        # n^cycles / z_mu against |class| * n^cycles / K!, key by key in insertion order; the goldens hash this order
+        terms = list(dim_char_sum(k, n).terms.items())
+        assert terms == dim_char_sum_formula(k, n)
+        assert repr(terms) == repr(dim_char_sum_formula(k, n))

@@ -20,7 +20,9 @@ from rho_moments.combinat import (
 
 from rho_moments.errors import CapExceededError
 
-from oracles import exact_det, vandermonde_matrix
+from oracles import enumerate_cycle_types_oracle, exact_det, vandermonde_matrix
+
+MANY_ZEROS = (0,) * 40000
 
 
 class TestPartition:
@@ -41,6 +43,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((2, -1))
 
+    def test_strips_many_trailing_zero_rows(self):
+        # popped one at a time from a list, so the cost is linear in the padding
+        assert Partition((1,) + MANY_ZEROS).parts == (1,)
+        assert Partition(MANY_ZEROS).parts == ()
+
 
 class TestCycleType:
     def test_slot_normalization(self):
@@ -53,6 +60,9 @@ class TestCycleType:
         assert CycleType((200000,))._counts == (200000,)
         assert CycleType((0, 0, 1, 0, 0))._counts == (0, 0, 1)
         assert repr(CycleType((2,))) == "CycleType([2, 0])"
+
+    def test_strips_many_trailing_zero_counts(self):
+        assert CycleType((1,) + MANY_ZEROS)._counts == (1,)
 
     def test_boxes_and_cycles(self):
         c = CycleType((2, 1))  # (1^2, 2)
@@ -107,6 +117,11 @@ class TestEnumeration:
     def test_cycle_types_table_order(self):
         labels = [c.label() for c in enumerate_cycle_types(4)]
         assert labels == ["1^4", "1^2,2", "1,3", "2^2", "4"]
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_cycle_types_match_the_sorted_partitions(self, k):
+        # the one-pass walk lists the same classes, in the same order, as sorting the partitions
+        assert [c._counts for c in enumerate_cycle_types(k)] == [c._counts for c in enumerate_cycle_types_oracle(k)]
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_partition_class_bijection(self, k):

@@ -11,6 +11,7 @@ from rho_moments.combinat import CycleType, enumerate_cycle_types, enumerate_par
 from rho_moments.errors import CapExceededError
 from rho_moments.quantum import (
     EntryMomentSpec,
+    _set_partitions,
     ScaledRational,
     TraceProductExpr,
     det_lemma_value,
@@ -31,6 +32,7 @@ from oracles import (
     moment_traces_oracle,
     moment_traces_two_stage,
     omega_expand_oracle,
+    set_partitions_oracle,
     weyl_ratio_character,
 )
 
@@ -216,6 +218,13 @@ class TestOmegaExpand:
         z = prod(length**m * factorial(m) for length, m in enumerate(monomial.counts, start=1))
         assert len(expr.terms) == factorial(k) // z
         assert all(type(c) is F and c == z for c in expr.terms.values())
+
+    @pytest.mark.parametrize("monomial, k", [(c, k) for k in range(10) for c in enumerate_cycle_types(k)], ids=str)
+    def test_set_partitions_match_the_copying_recursion(self, monomial, k):
+        # the same splits in the same order as the recursion that copies every tail; owed is restored
+        owed = list(monomial._counts)
+        assert _set_partitions(k, owed) == set_partitions_oracle(tuple(range(1, k + 1)), monomial.counts)
+        assert owed == list(monomial._counts)
 
     @pytest.mark.parametrize("monomial, k", [(c, k) for k in (8, 9) for c in enumerate_cycle_types(k)], ids=str)
     def test_lists_every_canonical_word_of_its_class(self, monomial, k):
