@@ -322,7 +322,7 @@ def estimate_dirichlet_moment(
 
     def consume(batch: np.ndarray) -> np.ndarray:
         coords = lam * batch[:, :n_big]
-        columns = np.column_stack((coords, coords.sum(axis=1)))  # the last is the weight's (sum x)
+        columns = np.column_stack((coords, classical._row_sums(coords)))  # the last is the weight's (sum x)
         return _monomial(volume, (*spec.exponents, spec.weight_power), columns)
 
     draw = partial(sample_simplex_batch, n_big + 1)

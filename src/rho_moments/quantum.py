@@ -12,14 +12,14 @@ products over permutations, and is cross-checked against the K = 1, 2 closed
 forms, the K <= 4 weighted-character table, and Monte Carlo sampling. The
 permutation sum and the expansion route of ``omega_expand`` share one rule:
 written from its least index, in order of those indices, each cycle opens at
-the least index not yet used. So the sum takes 2^(K-1) K chain steps, one pass
-over subsets, and ``omega_expand`` lists canonical cycle words by construction,
-checking only their count. All user-facing moments are normalized by the
-ensemble volume, so results are exact rationals (entry moments; also
-integer-valued observables) or plain complex numbers; the (2*pi)-carrying raw
-values remain available through ``ScaledRational``. numpy is imported only
-inside the functions that take numeric matrices, so the exact engines run
-without it.
+the least index not yet used. So the sum takes 2^(K-1) K chain steps over
+the subsets S, layer by layer in |S|, two layers resident, and
+``omega_expand`` lists canonical cycle words by construction, checking only
+their count. All user-facing moments are normalized by the ensemble volume,
+so results are exact rationals (entry moments; also integer-valued
+observables) or plain complex numbers; the (2*pi)-carrying raw values remain
+available through ``ScaledRational``. numpy is imported only inside the
+functions that take numeric matrices, so the exact engines run without it.
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ __all__ = [
 ]
 
 # Largest K accepted per call: the permutation sums cost 2^(K-1) K chain steps,
-# ``omega_expand`` lists the K!/z_mu distinct cycle words of its class, each
-# block of a set partition of 1..K opening at the least unused index.
+# layer by layer in |S|, two layers resident (at most C(K-1, (K-1)//2) chains
+# each); ``omega_expand`` lists the K!/z_mu distinct cycle words of its class,
+# each block of a set partition of 1..K opening at the least unused index.
 # Overridable per call. A refusal comes before any count; it names K!/z_mu only
 # while K! < 2^63.
 DEFAULT_BOX_CAP = 8
@@ -355,27 +356,46 @@ def _validated_observables(observables: Sequence[numpy.ndarray]) -> tuple[list[n
     return mats, n
 
 
-def _permutation_sum(k: int, n: int, grow: Callable, close: Callable):
-    """Sum over pi in S_K of n^cycles(pi) * prod over cycles of the cycle weight.
+def _permutation_sum(k: int, empty, extend: Callable):
+    """Sum over pi in S_K of n^cycles(pi) * prod over cycles of the cycle weight, by layers.
 
     With each cycle written from its least index, in order of those indices,
-    every cycle opens at the least index not yet used. Over the bitmasks S
-    holding index 0, in increasing order, chains[S] sums the ways to use S with
-    one cycle open (closed cycles' weights times the open one's running
-    product), and closed[S] those with every cycle closed; closed[{}] = 1.
-    chains[S] = grow(prev, opened): prev extends the open cycle by j, pairs
-    (chains[S - j], j); opened opens one at a in the low run of ones of S,
-    nonzero pairs (closed[S - a], a). Then closed[S] = n * close(chains[S]).
+    every cycle opens at the least index not yet used. Over the subsets S
+    holding index 0, chains[S] sums the ways to use S with one cycle open
+    (closed cycles' weights times the open one's running product), and
+    closed[S] = n * (chains[S] closed) those with every cycle closed;
+    closed[{}] = 1. chains[S] sums a chain step chains[S - j] * C_j for each j
+    in S - {0}, and an opening closed[S - a] * C_a for each a in the low run
+    of ones of S. Both reads come from subsets of size |S| - 1, so the sum
+    goes layer by layer in |S|, two layers resident.
+
+    A layer is its masks' chains followed by their closed totals; ``empty``
+    is layer 0, the empty set's closed total alone. ``extend(below, src, mul,
+    starts)`` returns each layer from the one below: the terms of its mask m
+    are t in range(starts[m], starts[m + 1]), each entry src[t] of ``below``
+    times C_mul[t]. A src[t] past the chains of ``below`` reads a closed
+    total, so that term opens a cycle at mul[t]. The last layer, the full
+    set's alone, is returned.
     """
-    size = 1 << k
-    chains, closed = [None] * size, [1] + [0] * (size - 1)
-    for s in range(1, size, 2):
-        run = (~s & (s + 1)).bit_length() - 1
-        prev = [(chains[s ^ 1 << j], j) for j in range(1, k) if s >> j & 1]
-        opened = [(closed[s ^ 1 << a], a) for a in range(run) if closed[s ^ 1 << a]]
-        chains[s] = grow(prev, opened)
-        closed[s] = n * close(chains[s])
-    return closed[-1]
+    layer = extend(empty, [0], [0], [0])  # layer 1, {0}: a cycle opens at 0 from the empty set
+    sets = [(1, ())]  # the layer's masks, each with its indices past 0
+    for _ in range(1, k):
+        below = {s: p for p, (s, _) in enumerate(sets)}  # mask -> position in the layer below
+        # The next layer: each set of the one below plus an index past its highest.
+        sets = [(s | 1 << j, (*rest, j)) for s, rest in sets for j in range(s.bit_length(), k)]
+        src, mul, starts, chains = [], [], [], len(below)  # the layer below's closed totals follow its chains
+        for s, rest in sets:
+            starts.append(len(src))
+            for j in rest:  # a chain step by C_j from chains[S - j]
+                src.append(below[s ^ 1 << j])
+            mul += rest
+            a = 1
+            while s >> a & 1:  # a cycle opens at a, in the low run of ones, from closed[S - a]
+                src.append(chains + below[s ^ 1 << a])
+                mul.append(a)
+                a += 1
+        layer = extend(layer, src, mul, starts)
+    return layer
 
 
 def moment_traces(
@@ -384,20 +404,29 @@ def moment_traces(
     """Mean of prod_j (C_j . rho) over the flat density-matrix ensemble.
 
     The permutation sum of the module docstring over N x N chains: a step
-    multiplies by C_j, and a cycle closes with a trace. A total that comes out
+    multiplies by C_j, and a cycle closes with a trace. Each layer's steps are
+    one gather and one ``einsum`` (not BLAS, whose bits depend on the build and
+    CPU), summed per mask by ``reduceat``; a closed total is stacked as that
+    total times I, so an opening is one more step. A total that comes out
     exactly real, as for integer-valued observables, is normalized exactly.
     No chain overflows: each C_j is scaled by 2^-e_j, its largest |Re| or |Im| then in [1/2, 1)
     (or 2^1021 up at most), and the multilinear moment by 2^(sum e_j).
     """
+    import numpy as np
+
     mats, n = _validated_observables(observables)
     k = check_cap(len(mats), max_boxes, PERMUTATION_SUM_COST)
-    exponents = [max(math.frexp(max(abs(c.real).max(), abs(c.imag).max()))[1], -1021) for c in mats]
-    mats = [c * 2.0**-e for c, e in zip(mats, exponents)]
-    total = _permutation_sum(
-        k, n,
-        lambda prev, opened: sum(chain @ mats[j] for chain, j in prev) + sum(w * mats[a] for w, a in opened),
-        lambda chain: complex(chain.trace()),
-    )
+    mats = np.stack(mats)
+    peaks = abs(mats.view(float)).max(axis=(1, 2)).tolist()  # each C_j's largest |Re| or |Im|
+    exponents = [max(math.frexp(peak)[1], -1021) for peak in peaks]
+    mats *= np.array([2.0**-e for e in exponents])[:, None, None]
+    eye = np.eye(n, dtype=complex)
+
+    def extend(below, src, mul, starts):
+        chains = np.add.reduceat(np.einsum("tik,tkl->til", below[src], mats[mul]), starts)
+        return np.concatenate((chains, (n * np.einsum("mii->m", chains))[:, None, None] * eye))
+
+    total = complex(_permutation_sum(k, eye[None], extend)[-1, 0, 0])  # the full set's closed total times I
     if total.imag == 0 and math.isfinite(total.real):
         total = Fraction(total.real)
     value = complex(Fraction(1, _rising_product(k, n)) * total)
@@ -421,17 +450,28 @@ def entry_moment(spec: EntryMomentSpec, *, max_boxes: int = DEFAULT_BOX_CAP) -> 
     if sorted(rows) != sorted(cols):
         return Fraction(0)  # no cycle closes unless the columns rearrange the rows
 
-    def grow(prev: list, opened: list) -> dict[tuple[int, int], int]:
-        ends: dict[tuple[int, int], int] = {}
-        for chain, j in prev:
-            for (row, col), count in chain.items():
-                if col == rows[j]:
-                    ends[row, cols[j]] = ends.get((row, cols[j]), 0) + count
-        for weight, a in opened:
-            ends[rows[a], cols[a]] = ends.get((rows[a], cols[a]), 0) + weight
-        return ends
+    def extend(below: list, src: list[int], mul: list[int], starts: list[int]) -> list:
+        size, layer, closed = len(below) // 2, [], []
+        for lo, hi in zip(starts, starts[1:] + [len(src)]):
+            ends: dict[tuple[int, int], int] = {}
+            diagonal = 0
+            for t in range(lo, hi):
+                at, to = rows[mul[t]], cols[mul[t]]
+                if src[t] < size:  # a chain step
+                    for (row, col), count in below[src[t]].items():
+                        if col == at:
+                            ends[row, to] = ends.get((row, to), 0) + count
+                            if row == to:
+                                diagonal += count
+                elif weight := below[src[t]]:  # a closed total: a cycle opens
+                    ends[at, to] = ends.get((at, to), 0) + weight
+                    if at == to:
+                        diagonal += weight
+            layer.append(ends)
+            closed.append(n * diagonal)
+        return layer + closed
 
-    total = _permutation_sum(k, n, grow, lambda chain: sum(c for (row, col), c in chain.items() if row == col))
+    total = _permutation_sum(k, [1], extend)[-1]
     return Fraction(total, _rising_product(k, n))
 
 

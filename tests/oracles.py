@@ -5,8 +5,9 @@ cofactor expansions, dimensions come from the hook-content formula, U(N)
 characters are Weyl's determinant ratio over the eigenvalues, ensemble
 moments and class-monomial expansions list all K! permutations (at larger K,
 ensemble moments are also summed over set partitions in two stages, as the
-subset engine did before it became one pass), dimension-weighted character
-sums go over irreps as in the paper, density matrices are the complex Gram
+subset engine did before it became one pass, and over subsets in increasing
+order of mask, as it did before it went layer by layer), dimension-weighted
+character sums go over irreps as in the paper, density matrices are the complex Gram
 product G G^H of one einsum, and integrals go through scipy quadrature in the
 tests themselves. The S_K classes, the dimension-weighted coefficients and the
 set partitions behind ``omega_expand`` are also built the way the library built
@@ -249,6 +250,65 @@ def moment_traces_two_stage(mats):
     total = two_stage_permutation_sum(
         k, n, lambda a: mats[a], lambda prev: sum(chain @ mats[j] for chain, j in prev),
         lambda chain, _: complex(chain.trace()),
+    )
+    if total.imag == 0 and isfinite(total.real):
+        total = Fraction(total.real)
+    return complex(ensemble_normalization(k, n) * total)
+
+
+def subset_permutation_sum(k, n, grow, close):
+    """``permutation_sum`` in one pass over the subsets holding index 0, in increasing order of mask.
+
+    The subset-order loop the library used before it went layer by layer. With each cycle
+    written from its least index, in order of those indices, every cycle opens at the
+    least index not yet used. chains[S] sums the ways to use S with one cycle open and
+    closed[S] those with every cycle closed; closed[{}] = 1. chains[S] = grow(prev,
+    opened): prev extends the open cycle by j, pairs (chains[S - j], j); opened opens one
+    at a in the low run of ones of S, nonzero pairs (closed[S - a], a). Then
+    closed[S] = n * close(chains[S]).
+    """
+    size = 1 << k
+    chains, closed = [None] * size, [1] + [0] * (size - 1)
+    for s in range(1, size, 2):
+        run = (~s & (s + 1)).bit_length() - 1
+        prev = [(chains[s ^ 1 << j], j) for j in range(1, k) if s >> j & 1]
+        opened = [(closed[s ^ 1 << a], a) for a in range(run) if closed[s ^ 1 << a]]
+        chains[s] = grow(prev, opened)
+        closed[s] = n * close(chains[s])
+    return closed[-1]
+
+
+def entry_moment_subset(n, pairs):
+    """``entry_moment`` by the subset-order loop: chain[S] counts (start row, end column) pairs."""
+    rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
+    if sorted(rows) != sorted(cols):
+        return Fraction(0)
+
+    def grow(prev, opened):
+        ends = {}
+        for chain, j in prev:
+            for (row, col), count in chain.items():
+                if col == rows[j]:
+                    ends[row, cols[j]] = ends.get((row, cols[j]), 0) + count
+        for weight, a in opened:
+            ends[rows[a], cols[a]] = ends.get((rows[a], cols[a]), 0) + weight
+        return ends
+
+    total = subset_permutation_sum(
+        len(pairs), n, grow, lambda chain: sum(c for (row, col), c in chain.items() if row == col)
+    )
+    return ensemble_normalization(len(pairs), n) * total
+
+
+def moment_traces_subset(mats):
+    """``moment_traces`` by the subset-order loop, an exactly real total normalized exactly."""
+    mats = [np.asarray(c, dtype=complex) for c in mats]
+    k, n = len(mats), mats[0].shape[0]
+    total = subset_permutation_sum(
+        k, n,
+        lambda prev, opened: sum(chain @ mats[j] for chain, j in prev) + sum(w * mats[a] for w, a in opened),
+        lambda chain: complex(chain.trace()),
     )
     if total.imag == 0 and isfinite(total.real):
         total = Fraction(total.real)

@@ -8,6 +8,7 @@ from scipy import integrate, stats
 
 from rho_moments.classical import (
     DirichletSpec,
+    _row_sums,
     SimplexMomentSpec,
     beta_function,
     dirichlet_moment,
@@ -161,6 +162,15 @@ class TestSampleSimplex:
         assert batch[0].sum() == pytest.approx(1.0, abs=1e-12)
         assert batch[0].tobytes() == (draws[1][0] / draws[1][0].sum()).tobytes()
         assert batch[1:].tobytes() == (draws[0][1:] / draws[0][1:].sum(axis=1)[:, None]).tobytes()
+
+    @pytest.mark.parametrize("rows", (0, 1, 3, 1000))
+    def test_row_sums_are_numpys_bit_for_bit(self, rows):
+        # every branch of numpy's pairwise order: one after another, 8 running sums, halves past 128
+        rng = np.random.default_rng(6 + rows)
+        wide = rng.standard_normal((rows, 300)) * np.exp(rng.standard_normal((rows, 300)) * 10)
+        for width in range(1, 301):
+            batch = wide[:, :width].copy()
+            assert _row_sums(batch).tobytes() == batch.sum(axis=1).tobytes(), width
 
     def test_two_components_marginal_is_uniform(self):
         rng = np.random.default_rng(2)

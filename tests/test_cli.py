@@ -347,17 +347,18 @@ class TestVerifyCommand:
     def test_perturbed_block_weight_fails(self, runner, monkeypatch):
         engine = rho_moments.quantum._permutation_sum
 
-        def corrupted(k, n, grow, close):
-            # Chains are closed once per subset holding index 0, in subset order,
-            # so the last of the 2^(K-1) closes is the chain of all K indices:
-            # add 1 to that weight only.
-            closed = itertools.count(1)
+        def corrupted(k, empty, extend):
+            # The layers are built in order of size, so the K-th is the full
+            # set's, whose closed total comes last: add 1 to that total only.
+            layers = itertools.count(1)
 
-            def close_wrongly(chain):
-                weight = close(chain)
-                return weight + 1 if next(closed) == 1 << (k - 1) else weight
+            def extend_wrongly(below, src, mul, starts):
+                layer = extend(below, src, mul, starts)
+                if next(layers) == k:
+                    layer[-1] += 1
+                return layer
 
-            return engine(k, n, grow, close_wrongly)
+            return engine(k, empty, extend_wrongly)
 
         monkeypatch.setattr(rho_moments.quantum, "_permutation_sum", corrupted)
         result = runner.invoke(

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import factorial, ldexp, perm, prod
+from math import comb, factorial, ldexp, perm, prod
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from rho_moments.combinat import CycleType, enumerate_cycle_types, enumerate_par
 from rho_moments.errors import CapExceededError
 from rho_moments.quantum import (
     EntryMomentSpec,
+    _permutation_sum,
     _set_partitions,
     ScaledRational,
     TraceProductExpr,
@@ -26,10 +27,12 @@ from rho_moments.quantum import (
 
 from oracles import (
     entry_moment_oracle,
+    entry_moment_subset,
     entry_moment_two_stage,
     exact_det,
     hook_content_dim,
     moment_traces_oracle,
+    moment_traces_subset,
     moment_traces_two_stage,
     omega_expand_oracle,
     set_partitions_oracle,
@@ -474,6 +477,73 @@ class TestSubsetEngineAgainstTwoStageOracle:
         for n in (1, 2, 3):
             mats = [rng.integers(-2, 3, size=(n, n)) for _ in range(k)]
             assert moment_traces(mats) == moment_traces_two_stage(mats)
+
+
+class TestLayeredEngineAgainstSubsetOracle:
+    """The popcount-layered sum against the subset-order loop it replaced, in ``oracles``."""
+
+    @pytest.mark.parametrize("n,kmax", [(2, 5), (3, 4)])
+    def test_entry_moments_exhaustive(self, n, kmax):
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for k in range(1, kmax + 1):
+            for pairs in itertools.product(cells, repeat=k):
+                assert entry_moment(EntryMomentSpec(n, pairs)) == entry_moment_subset(n, pairs)
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_entry_moments_random_balanced_past_the_default_cap(self, n):
+        rng = np.random.default_rng(5000 + n)
+        for _ in range(30):
+            k = int(rng.integers(1, 11))
+            rows = rng.integers(1, n + 1, size=k)
+            pairs = tuple(zip(rows.tolist(), rng.permutation(rows).tolist()))
+            assert entry_moment(EntryMomentSpec(n, pairs), max_boxes=10) == entry_moment_subset(n, pairs)
+
+    @pytest.mark.parametrize("k", (9, 10))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_moment_traces_past_the_default_cap(self, k, n):
+        rng = np.random.default_rng(6000 + 10 * k + n)
+        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(k)]
+        got = moment_traces(mats, max_boxes=k)
+        for expected in (moment_traces_subset(mats), moment_traces_two_stage(mats)):
+            assert abs(got - expected) <= 1e-12 * abs(expected)
+        integers = [rng.integers(-2, 3, size=(n, n)) for _ in range(k)]
+        got = moment_traces(integers, max_boxes=k)
+        assert got == moment_traces_subset(integers) == moment_traces_two_stage(integers)
+
+
+class TestLayerPlan:
+    """The lists ``_permutation_sum`` hands each layer: their sizes, and the layer each term reads."""
+
+    @staticmethod
+    def plan(k):
+        layers = []
+
+        def extend(below, src, mul, starts):
+            layers.append((len(below), src, mul, starts))
+            return [None] * (2 * len(starts))  # each mask's chain, then its closed total
+
+        _permutation_sum(k, [None], extend)
+        return layers
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_layer_sizes_and_reads(self, k):
+        layers = self.plan(k)
+        sizes = [len(starts) for _, _, _, starts in layers]
+        assert sizes == [comb(k - 1, size - 1) for size in range(1, k + 1)]
+        assert sum(sizes) == 2 ** (k - 1)
+        assert max(sizes) == comb(k - 1, (k - 1) // 2)
+        steps = 0
+        for below, src, mul, starts in layers:
+            assert len(src) == len(mul) and starts[0] == 0 and starts == sorted(set(starts))
+            assert all(0 <= t < below for t in src) and all(0 <= j < k for j in mul)
+            steps += sum(t < below // 2 for t in src)  # the layer below's chains come before its closed totals
+        assert steps == 2 ** (k - 1) * (k - 1) // 2
+
+    def test_first_layers(self):
+        # {0} opens a cycle from the empty set; {0,1} steps to 1 from {0} or opens at 1, {0,2} only steps
+        (empty, src, mul, starts), (one, src2, mul2, starts2) = self.plan(3)[:2]
+        assert (empty, src, mul, starts) == (1, [0], [0], [0])
+        assert (one, src2, mul2, starts2) == (2, [0, 1, 0], [1, 1, 2], [0, 2])
 
 
 class TestPurityMean:
