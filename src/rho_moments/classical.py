@@ -138,29 +138,18 @@ def sample_simplex_batch(n_components: int, count: int, rng: numpy.random.Genera
 
 
 def _row_sums(batch: numpy.ndarray) -> numpy.ndarray:
-    """``batch.sum(axis=1)`` of a C-ordered 2-D array, bit for bit, by adding whole columns.
+    """``batch.sum(axis=1)`` of a C-ordered 2-D array, bit for bit.
 
-    The columns are added in numpy's pairwise order: one after another below 8
-    columns; up to 128, in 8 running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the columns past the last multiple of 8 one after another; above 128, the two
-    halves split at a multiple of 8. Over a few columns, numpy's row-wise reduction takes
-    ~15 times as long as these column adds, and it did not scale across worker threads.
+    Below 8 columns numpy adds a row's entries one after another, so the whole
+    columns are added in that order: over a few columns, numpy's row-wise
+    reduction takes ~15 times as long as these column adds, and it did not scale
+    across worker threads. Wider batches use ``sum(axis=1)`` itself.
     """
     width = batch.shape[1]
-    if width > 128:
-        half = width // 2 - width // 2 % 8
-        return _row_sums(batch[:, :half]) + _row_sums(batch[:, half:])
-    if width < 8:
-        total = batch[:, 0].copy()
-        for j in range(1, width):
-            total += batch[:, j]
-        return total
-    runs = [batch[:, j].copy() for j in range(8)]
-    for i in range(8, width - width % 8, 8):
-        for j in range(8):
-            runs[j] += batch[:, i + j]
-    total = ((runs[0] + runs[1]) + (runs[2] + runs[3])) + ((runs[4] + runs[5]) + (runs[6] + runs[7]))
-    for j in range(width - width % 8, width):
+    if width >= 8:
+        return batch.sum(axis=1)
+    total = batch[:, 0].copy()
+    for j in range(1, width):
         total += batch[:, j]
     return total
 

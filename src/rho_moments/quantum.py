@@ -55,8 +55,10 @@ __all__ = [
 
 # Largest K accepted per call: the permutation sums cost 2^(K-1) K chain steps,
 # layer by layer in |S|, two layers resident (at most C(K-1, (K-1)//2) chains
-# each); ``omega_expand`` lists the K!/z_mu distinct cycle words of its class,
-# each block of a set partition of 1..K opening at the least unused index.
+# each), and ``moment_traces`` also holds three N x N matrices per term of the
+# layer it builds (595 in all at K = 8); ``omega_expand`` lists the K!/z_mu
+# distinct cycle words of its class, each block of a set partition of 1..K
+# opening at the least unused index.
 # Overridable per call. A refusal comes before any count; it names K!/z_mu only
 # while K! < 2^63.
 DEFAULT_BOX_CAP = 8
@@ -409,6 +411,8 @@ def moment_traces(
     CPU), summed per mask by ``reduceat``; a closed total is stacked as that
     total times I, so an opening is one more step. A total that comes out
     exactly real, as for integer-valued observables, is normalized exactly.
+    Building layer L from its T_L terms holds 3 T_L + 2 C(K-1, L-2) N x N
+    matrices: the layer below, and the gather, the C_j and their products.
     No chain overflows: each C_j is scaled by 2^-e_j, its largest |Re| or |Im| then in [1/2, 1)
     (or 2^1021 up at most), and the multilinear moment by 2^(sum e_j).
     """

@@ -165,7 +165,7 @@ class TestSampleSimplex:
 
     @pytest.mark.parametrize("rows", (0, 1, 3, 1000))
     def test_row_sums_are_numpys_bit_for_bit(self, rows):
-        # every branch of numpy's pairwise order: one after another, 8 running sums, halves past 128
+        # the column adds below 8 columns and numpy's own sum above, on both sides of the switch
         rng = np.random.default_rng(6 + rows)
         wide = rng.standard_normal((rows, 300)) * np.exp(rng.standard_normal((rows, 300)) * 10)
         for width in range(1, 301):

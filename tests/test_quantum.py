@@ -539,6 +539,11 @@ class TestLayerPlan:
             steps += sum(t < below // 2 for t in src)  # the layer below's chains come before its closed totals
         assert steps == 2 ** (k - 1) * (k - 1) // 2
 
+    def test_moment_traces_peak_matrices(self):
+        # while moment_traces builds a layer it holds the layer below and, per term, the gather, C_j and the product
+        peaks = [max(below + 3 * len(src) for below, src, _, _ in self.plan(k)) for k in range(1, 13)]
+        assert peaks == [4, 8, 16, 33, 66, 140, 280, 595, 1190, 2520, 5040, 10626]
+
     def test_first_layers(self):
         # {0} opens a cycle from the empty set; {0,1} steps to 1 from {0} or opens at 1, {0,2} only steps
         (empty, src, mul, starts), (one, src2, mul2, starts2) = self.plan(3)[:2]
