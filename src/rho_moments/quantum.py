@@ -28,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
@@ -56,7 +56,9 @@ __all__ = [
 # Largest K accepted per call: the permutation sums cost 2^(K-1) K chain steps,
 # layer by layer in |S|, two layers resident (at most C(K-1, (K-1)//2) chains
 # each), and ``moment_traces`` also holds three N x N matrices per term of the
-# layer it builds (595 in all at K = 8); ``omega_expand`` lists the K!/z_mu
+# layer it builds (595 in all at K = 8). Both read one index plan per K, built
+# once and cached for the last 8 K (0.015 MB at K = 8, 0.55 MB at K = 12, 9.4 MB
+# at K = 16, holding no input or result); ``omega_expand`` lists the K!/z_mu
 # distinct cycle words of its class, each block of a set partition of 1..K
 # opening at the least unused index.
 # Overridable per call. A refusal comes before any count; it names K!/z_mu only
@@ -341,21 +343,52 @@ def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CA
     return TraceProductExpr._checked(k, terms)
 
 
-def _validated_observables(observables: Sequence[numpy.ndarray]) -> tuple[list[numpy.ndarray], int]:
+def _validated_observables(observables: Sequence[numpy.ndarray]) -> tuple[numpy.ndarray, int]:
+    """The observables as one new (K, N, N) complex stack, and N; shapes are checked before entries."""
     import numpy as np
 
     mats = [np.asarray(c, dtype=complex) for c in observables]
     if not mats:
         raise ValueError("at least one observable is required")
     n = mats[0].shape[0] if mats[0].ndim == 2 else -1
-    for c in mats:
-        if c.ndim != 2 or c.shape != (n, n):
-            raise ValueError("observables must be square matrices of one dimension")
-        if not np.isfinite(c).all():
-            raise ValueError("observables must have finite entries")
+    if any(c.ndim != 2 or c.shape != (n, n) for c in mats):
+        raise ValueError("observables must be square matrices of one dimension")
+    stacked = np.stack(mats)
+    if not np.isfinite(stacked).all():
+        raise ValueError("observables must have finite entries")
     if n < 1:
         raise ValueError("observables must have dimension at least 1")
-    return mats, n
+    return stacked, n
+
+
+@lru_cache(maxsize=8)
+def _layer_plan(k: int) -> tuple[tuple[list[int], list[int], list[int]], ...]:
+    """Each layer's (src, mul, starts) lists for ``_permutation_sum`` over S_K, layer 1 first.
+
+    Layer 1 is {0}, a cycle opened at 0 from the empty set. Each layer's
+    masks are those of the one below plus an index past their highest, read
+    through a mask -> position table of the layer below. The plan depends on
+    K alone and is shared by every call, so no engine may write to its lists.
+    """
+    layers = [([0], [0], [0])]
+    sets = [(1, ())]  # the layer's masks, each with its indices past 0
+    for _ in range(1, k):
+        below = {s: p for p, (s, _) in enumerate(sets)}  # mask -> position in the layer below
+        # The next layer: each set of the one below plus an index past its highest.
+        sets = [(s | 1 << j, (*rest, j)) for s, rest in sets for j in range(s.bit_length(), k)]
+        src, mul, starts, chains = [], [], [], len(below)  # the layer below's closed totals follow its chains
+        for s, rest in sets:
+            starts.append(len(src))
+            for j in rest:  # a chain step by C_j from chains[S - j]
+                src.append(below[s ^ 1 << j])
+            mul += rest
+            a = 1
+            while s >> a & 1:  # a cycle opens at a, in the low run of ones, from closed[S - a]
+                src.append(chains + below[s ^ 1 << a])
+                mul.append(a)
+                a += 1
+        layers.append((src, mul, starts))
+    return tuple(layers)
 
 
 def _permutation_sum(k: int, empty, extend: Callable):
@@ -377,25 +410,13 @@ def _permutation_sum(k: int, empty, extend: Callable):
     are t in range(starts[m], starts[m + 1]), each entry src[t] of ``below``
     times C_mul[t]. A src[t] past the chains of ``below`` reads a closed
     total, so that term opens a cycle at mul[t]. The last layer, the full
-    set's alone, is returned.
+    set's alone, is returned. The lists come from ``_layer_plan(k)``, built
+    once per K and cached for the last 8 K: 2^(K-2) (K+1) terms in all, each
+    an entry of src and of mul, 0.015 MB resident at K = 8, 0.55 MB at K = 12
+    and 9.4 MB at K = 16.
     """
-    layer = extend(empty, [0], [0], [0])  # layer 1, {0}: a cycle opens at 0 from the empty set
-    sets = [(1, ())]  # the layer's masks, each with its indices past 0
-    for _ in range(1, k):
-        below = {s: p for p, (s, _) in enumerate(sets)}  # mask -> position in the layer below
-        # The next layer: each set of the one below plus an index past its highest.
-        sets = [(s | 1 << j, (*rest, j)) for s, rest in sets for j in range(s.bit_length(), k)]
-        src, mul, starts, chains = [], [], [], len(below)  # the layer below's closed totals follow its chains
-        for s, rest in sets:
-            starts.append(len(src))
-            for j in rest:  # a chain step by C_j from chains[S - j]
-                src.append(below[s ^ 1 << j])
-            mul += rest
-            a = 1
-            while s >> a & 1:  # a cycle opens at a, in the low run of ones, from closed[S - a]
-                src.append(chains + below[s ^ 1 << a])
-                mul.append(a)
-                a += 1
+    layer = empty
+    for src, mul, starts in _layer_plan(k):
         layer = extend(layer, src, mul, starts)
     return layer
 
@@ -420,7 +441,6 @@ def moment_traces(
 
     mats, n = _validated_observables(observables)
     k = check_cap(len(mats), max_boxes, PERMUTATION_SUM_COST)
-    mats = np.stack(mats)
     peaks = abs(mats.view(float)).max(axis=(1, 2)).tolist()  # each C_j's largest |Re| or |Im|
     exponents = [max(math.frexp(peak)[1], -1021) for peak in peaks]
     mats *= np.array([2.0**-e for e in exponents])[:, None, None]
@@ -480,11 +500,14 @@ def entry_moment(spec: EntryMomentSpec, *, max_boxes: int = DEFAULT_BOX_CAP) -> 
 
 
 def purity_mean(n: int) -> Fraction:
-    """Mean of tr(rho^2): the sum of entry moments rho[i,j] * rho[j,i]."""
+    """Mean of tr(rho^2), the sum of entry moments rho[i,j] * rho[j,i] over i, j.
+
+    Entry moments do not change when the indices 1..N are relabelled, so the
+    N diagonal terms equal E[rho11^2] and the N(N-1) others E[rho12 rho21].
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            total += entry_moment(EntryMomentSpec(n, ((i, j), (j, i))))
+    total = n * entry_moment(EntryMomentSpec(n, ((1, 1), (1, 1))))
+    if n > 1:
+        total += n * (n - 1) * entry_moment(EntryMomentSpec(n, ((1, 2), (2, 1))))
     return total

@@ -12,7 +12,8 @@ product G G^H of one einsum, and integrals go through scipy quadrature in the
 tests themselves. The S_K classes, the dimension-weighted coefficients and the
 set partitions behind ``omega_expand`` are also built the way the library built
 them before each became one pass: sorted partitions, |class| * N^cycles / K!,
-and a recursion that copies every tail.
+and a recursion that copies every tail. The mean purity sums all N^2 entry
+moments rho[i,j] * rho[j,i], as the library did before it used two.
 """
 
 from fractions import Fraction
@@ -177,6 +178,12 @@ def entry_moment_oracle(n, pairs):
         return int(all(cols[a] == rows[b] for a, b in zip(cycle, following)))
 
     return ensemble_normalization(len(pairs), n) * permutation_sum(len(pairs), n, weight)
+
+
+def purity_mean_oracle(n):
+    """Mean of tr(rho^2) as the sum of all N^2 entry moments rho[i,j] * rho[j,i]."""
+    cells = range(1, n + 1)
+    return sum((entry_moment_oracle(n, ((i, j), (j, i))) for i in cells for j in cells), Fraction(0))
 
 
 def moment_traces_oracle(mats):

@@ -11,6 +11,7 @@ from rho_moments.combinat import CycleType, enumerate_cycle_types, enumerate_par
 from rho_moments.errors import CapExceededError
 from rho_moments.quantum import (
     EntryMomentSpec,
+    _layer_plan,
     _permutation_sum,
     _set_partitions,
     ScaledRational,
@@ -35,6 +36,7 @@ from oracles import (
     moment_traces_subset,
     moment_traces_two_stage,
     omega_expand_oracle,
+    purity_mean_oracle,
     set_partitions_oracle,
     weyl_ratio_character,
 )
@@ -360,6 +362,10 @@ class TestMomentTraces:
         with pytest.raises(ValueError, match="finite"):
             moment_traces([np.eye(2), c])
 
+    def test_shapes_are_checked_before_entries(self):
+        with pytest.raises(ValueError, match="square matrices of one dimension"):
+            moment_traces([np.full((2, 2), np.nan), np.eye(3)])
+
 
 class TestEntryMoment:
     @pytest.mark.parametrize("n", range(1, 5))
@@ -551,6 +557,34 @@ class TestLayerPlan:
         assert (one, src2, mul2, starts2) == (2, [0, 1, 0], [1, 1, 2], [0, 2])
 
 
+class TestLayerPlanCache:
+    """``_layer_plan`` is built once per K, and no engine writes to the lists it keeps."""
+
+    def test_one_build_per_k(self):
+        _layer_plan.cache_clear()
+        for pairs in (((1, 1),) * 5, ((1, 2), (2, 1), (1, 1), (2, 2), (1, 1)), ((2, 1), (1, 2)) * 2 + ((2, 2),)):
+            entry_moment(EntryMomentSpec(2, pairs))
+        rng = np.random.default_rng(7)
+        for n in (1, 3):
+            moment_traces([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(5)])
+        info = _layer_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize, info.maxsize) == (1, 4, 1, 8)
+
+    def test_engines_leave_the_cached_plans_as_built(self):
+        rng = np.random.default_rng(11)
+        for k in range(1, 9):
+            rows = rng.integers(1, 4, size=k)
+            entry_moment(EntryMomentSpec(3, tuple(zip(rows.tolist(), rng.permutation(rows).tolist()))))
+            moment_traces([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(k)])
+            moment_traces([rng.integers(-2, 3, size=(3, 3)) for _ in range(k)])
+        used = [_layer_plan(k) for k in range(1, 9)]
+        _layer_plan.cache_clear()
+        fresh = [_layer_plan(k) for k in range(1, 9)]
+        assert all(a is not b for a, b in zip(used, fresh))
+        assert used == fresh
+        assert all(type(part) is list for plan in fresh for layer in plan for part in layer)
+
+
 class TestPurityMean:
     @pytest.mark.parametrize(
         "n,expected", [(1, F(1)), (2, F(4, 5)), (3, F(3, 5))]
@@ -561,6 +595,10 @@ class TestPurityMean:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_closed_form(self, n):
         assert purity_mean(n) == F(2 * n, n * n + 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_two_entry_moments_give_the_n_squared_sum(self, n):
+        assert purity_mean(n) == purity_mean_oracle(n)
 
     def test_qubit_matches_bloch_quadrature(self):
         oracle = bloch_ball_expectation(lambda a, u: a * a + (1 - a) ** 2 + 2 * u)
