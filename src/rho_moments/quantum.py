@@ -16,8 +16,9 @@ the least index not yet used. So the sum takes 2^(K-1) K chain steps over
 the subsets S, layer by layer in |S|, two layers resident, and
 ``omega_expand`` lists canonical cycle words by construction, checking only
 their count. All user-facing moments are normalized by the ensemble volume,
-so results are exact rationals (entry moments; also integer-valued
-observables) or plain complex numbers; the (2*pi)-carrying raw values remain
+so results are exact rationals (entry moments) or complex numbers, each part
+rounded once from its exact value when the permutation sum is exact (integer
+and Gaussian-integer observables); the (2*pi)-carrying raw values remain
 available through ``ScaledRational``. numpy is imported only inside the
 functions that take numeric matrices, so the exact engines run without it.
 """
@@ -246,11 +247,11 @@ def _rising_product(k: int, n: int) -> int:
 
 
 def eval_power_sums(a: numpy.ndarray, max_r: int) -> list[complex]:
-    """(t_1, ..., t_max_r) with t_r = tr(a^r), by repeated multiplication."""
+    """(t_1, ..., t_max_r) with t_r = tr(a^r), by repeated multiplication; [] for max_r = 0."""
     import numpy as np
 
-    if max_r < 1:
-        raise ValueError("max_r must be positive")
+    if max_r < 0:
+        raise ValueError("max_r must be non-negative")
     (a,), n = _validated_observables([a])
     power = np.eye(n, dtype=complex)
     out: list[complex] = []
@@ -265,13 +266,11 @@ def mgf_coefficient(k: int, a: numpy.ndarray) -> complex:
 
     (N^2-1)!/(K+N^2-1)! * sum over K-box shapes with at most N rows of
     dim * character(A), which is ``dim_char_sum`` at the power sums of the
-    N x N matrix A; the K = 0 coefficient is 1 by convention. A coefficient
-    past the float range raises ``ValueError``, as in ``moment_traces``.
+    N x N matrix A; ``dim_char_sum(0, N)`` is 1, so the K = 0 coefficient is 1.
+    A coefficient past the float range raises ``ValueError``, as in ``moment_traces``.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k == 0:
-        return 1.0 + 0.0j
     power_sums = eval_power_sums(a, k)  # refuses an empty, non-square or non-finite A
     n = len(a)
     try:
@@ -430,12 +429,13 @@ def moment_traces(
     multiplies by C_j, and a cycle closes with a trace. Each layer's steps are
     one gather and one ``einsum`` (not BLAS, whose bits depend on the build and
     CPU), summed per mask by ``reduceat``; a closed total is stacked as that
-    total times I, so an opening is one more step. A total that comes out
-    exactly real, as for integer-valued observables, is normalized exactly.
+    total times I, so an opening is one more step.
     Building layer L from its T_L terms holds 3 T_L + 2 C(K-1, L-2) N x N
     matrices: the layer below, and the gather, the C_j and their products.
     No chain overflows: each C_j is scaled by 2^-e_j, its largest |Re| or |Im| then in [1/2, 1)
-    (or 2^1021 up at most), and the multilinear moment by 2^(sum e_j).
+    (or 2^1021 up at most). Each part x of the total is rounded once from the exact
+    x * 2^(sum e_j) * (N^2-1)!/(K+N^2-1)!, so the moment is exact wherever the total
+    is, as for integer and Gaussian-integer observables; past the float range it is refused.
     """
     import numpy as np
 
@@ -451,11 +451,10 @@ def moment_traces(
         return np.concatenate((chains, (n * np.einsum("mii->m", chains))[:, None, None] * eye))
 
     total = complex(_permutation_sum(k, eye[None], extend)[-1, 0, 0])  # the full set's closed total times I
-    if total.imag == 0 and math.isfinite(total.real):
-        total = Fraction(total.real)
-    value = complex(Fraction(1, _rising_product(k, n)) * total)
-    try:
-        return complex(math.ldexp(value.real, sum(exponents)), math.ldexp(value.imag, sum(exponents)))
+    scale = sum(exponents)
+    num, den = 1 << max(scale, 0), _rising_product(k, n) << max(-scale, 0)
+    try:  # each part x times num / den, one int/int true division of exact integers: rounded once
+        return complex(*(a * num / (b * den) for a, b in map(float.as_integer_ratio, (total.real, total.imag))))
     except OverflowError as exc:
         raise ValueError("the moment does not fit a float") from exc
 

@@ -13,10 +13,12 @@ tests themselves. The S_K classes, the dimension-weighted coefficients and the
 set partitions behind ``omega_expand`` are also built the way the library built
 them before each became one pass: sorted partitions, |class| * N^cycles / K!,
 and a recursion that copies every tail. The mean purity sums all N^2 entry
-moments rho[i,j] * rho[j,i], as the library did before it used two.
+moments rho[i,j] * rho[j,i], as the library did before it used two, and the
+exact moment of Gaussian-integer observables sums entry moments over index pairs.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import factorial, isfinite
 
@@ -198,6 +200,38 @@ def moment_traces_oracle(mats):
         return complex(np.trace(prod))
 
     return complex(ensemble_normalization(len(mats), n) * permutation_sum(len(mats), n, weight))
+
+
+_cached_entry_moment = cache(entry_moment_oracle)
+
+
+def moment_traces_exact(mats):
+    """Exact (real, imaginary) parts, as Fractions, of the mean of prod (C_p . rho) for Gaussian-integer C_p.
+
+    tr(C rho) = sum over i, j of C[i, j] rho[j, i], so the mean is the sum over index pairs of
+    prod_p C_p[i_p, j_p] times E[prod_p rho[j_p, i_p]]. That entry moment depends on the sorted
+    pairs alone, so the integer products are summed per sorted pair list first, and each entry
+    moment is taken once from the K! oracle and cached.
+    """
+    mats = [np.asarray(c, dtype=complex) for c in mats]
+    n = mats[0].shape[0]
+    weights = {(): (1, 0)}  # sorted (row, column) pairs of rho -> summed (Re, Im) of the C products
+    for c in mats:
+        if not (c.real == c.real.round()).all() or not (c.imag == c.imag.round()).all():
+            raise ValueError("observables must have Gaussian-integer entries")
+        entries = [((j + 1, i + 1), int(c[i, j].real), int(c[i, j].imag)) for i in range(n) for j in range(n)]
+        grown = {}
+        for pairs, (re, im) in weights.items():
+            for pair, a, b in entries:
+                key = tuple(sorted((*pairs, pair)))
+                x, y = grown.get(key, (0, 0))
+                grown[key] = (x + re * a - im * b, y + re * b + im * a)
+        weights = grown
+    real = imag = Fraction(0)
+    for pairs, (re, im) in weights.items():
+        moment = _cached_entry_moment(n, pairs)
+        real, imag = real + re * moment, imag + im * moment
+    return real, imag
 
 
 def two_stage_permutation_sum(k, n, start, grow, close):

@@ -230,6 +230,13 @@ class TestEvalPowerSums:
         with pytest.raises(ValueError, match=wording):
             eval_power_sums(a, 2)
 
+    def test_no_powers(self):
+        assert eval_power_sums(np.eye(2), 0) == []
+
+    def test_negative_count_refused(self):
+        with pytest.raises(ValueError, match="max_r must be non-negative"):
+            eval_power_sums(np.eye(2), -1)
+
 
 class TestUnitaryCharEval:
     """The power-sum polynomial evaluated at the power sums of a matrix."""
@@ -320,3 +327,13 @@ class TestDimCharSum:
         terms = list(dim_char_sum(k, n).terms.items())
         assert terms == dim_char_sum_formula(k, n)
         assert repr(terms) == repr(dim_char_sum_formula(k, n))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: weyl_dim(Partition((1,)), 0), lambda: dim_char_sum(2, 0)],
+    ids=["weyl-dim", "dim-char-sum"],
+)
+def test_dimension_below_one_refused(call):
+    with pytest.raises(ValueError, match="n must be positive"):
+        call()

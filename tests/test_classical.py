@@ -195,3 +195,18 @@ class TestSampleSimplex:
                 SimplexMomentSpec(tuple(exps)), 100_000, seed=77
             )
             assert report.z_score <= 4.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SimplexMomentSpec(()), "at least one exponent is required"),
+        (lambda: DirichletSpec((1,), weight_power=-1), "weight_power must be a non-negative integer"),
+        (lambda: sample_simplex_batch(0, 3, np.random.default_rng(0)), "n_components must be positive"),
+        (lambda: sample_simplex_batch(2, -1, np.random.default_rng(0)), "count must be non-negative"),
+    ],
+    ids=["no-exponents", "weight-power", "components", "count"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

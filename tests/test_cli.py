@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import rho_moments.classical
 import rho_moments.montecarlo
 import rho_moments.quantum
 import rho_moments.verify
@@ -277,6 +278,12 @@ class TestQmomentCommand:
         assert result.exit_code == 2
         assert "(2,3)" in result.output
 
+    def test_non_integer_index_is_usage_error(self, runner):
+        result = runner.invoke(main, ["qmoment", "--n", "2", "--entries", "1,x"])
+        assert result.exit_code == 2, result.output
+        assert "indices must be integers, got '1,x'" in result.output
+        assert "Traceback" not in result.output
+
     def test_cap_exceeded_is_resource_error(self, runner):
         entries = " ".join(["1,1"] * 9)
         result = runner.invoke(main, ["qmoment", "--n", "2", "--entries", entries])
@@ -493,6 +500,27 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "bogus"])
         assert result.exit_code == 2
+
+    def test_unknown_suite_is_refused_by_run_suite(self):
+        message = "unknown suite 'nope'; choose from ['classical', 'quantum', 'sampler'] or 'all'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rho_moments.verify.run_suite("nope", 1000, 1)
+
+    def test_perturbed_dirichlet_moment_fails(self, runner, monkeypatch):
+        moment = rho_moments.classical.dirichlet_moment
+
+        def corrupted(spec):
+            # a scale other than 1 off by a factor: only the simplex-identity check sees it
+            return moment(spec) * (2 if spec.scale != 1 else 1)
+
+        monkeypatch.setattr(rho_moments.classical, "dirichlet_moment", corrupted)
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "classical", "--samples", "5000", "--seed", "7", "--threads", "1"],
+        )
+        assert result.exit_code == 1
+        failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
+        assert failed == ["dirichlet-vs-simplex-identity"]
 
     def test_tiny_sample_count_is_usage_error(self, runner):
         result = runner.invoke(main, ["verify", "--samples", "10"])

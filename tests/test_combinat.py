@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -196,3 +197,20 @@ class TestExactBudget:
         assert bounded_power(base, 1000) == base**1000
         with pytest.raises(CapExceededError):
             bounded_power(base, 2 * factorial(MAX_FACTORIAL_ARG).bit_length())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CycleType((1, -1)), "negative multiplicity in cycle type (1, -1)"),
+        (lambda: CycleType.from_cycle_lengths((0,)), "cycle length must be positive, got 0"),
+        (lambda: enumerate_partitions(-1, 1), "k must be non-negative"),
+        (lambda: enumerate_partitions(2, 0), "max_rows must be positive"),
+        (lambda: super_factorial(-1), "n must be non-negative"),
+        (lambda: lower_triangle_count(0), "n must be positive"),
+    ],
+    ids=["cycle-type", "cycle-length", "partitions-k", "partitions-rows", "super-factorial", "lower-triangle"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

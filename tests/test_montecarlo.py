@@ -224,6 +224,28 @@ def test_simplex_targets_beyond_float_range_are_value_errors(estimate, spec):
         estimate(spec, MIN_SAMPLES, seed=1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sample_density_batch(0, 3, np.random.default_rng(0)), "n must be positive"),
+        (lambda: sample_density_batch(2, -1, np.random.default_rng(0)), "count must be non-negative"),
+        (
+            lambda: estimate_entry_moments([EntryMomentSpec(2, ((1, 1),)), EntryMomentSpec(3, ((1, 1),))], MIN_SAMPLES, 1),
+            "all specs must share one dimension",
+        ),
+        (lambda: estimate_mgf(np.eye(2), -1, MIN_SAMPLES, 1), "truncation must be non-negative"),
+    ],
+    ids=["density-n", "density-count", "mixed-dimensions", "truncation"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_no_entry_specs_give_no_reports():
+    assert estimate_entry_moments([], MIN_SAMPLES, 1) == []
+
+
 class TestEstimatorDeterminism:
     def test_single_thread_bit_identical(self):
         spec = EntryMomentSpec(2, ((1, 2), (2, 1)))

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from math import comb, factorial, ldexp, perm, prod
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import rho_moments.quantum
 from rho_moments.classical import SimplexMomentSpec, simplex_moment
 from rho_moments.combinat import CycleType, enumerate_cycle_types, enumerate_partitions, lower_triangle_count
 from rho_moments.errors import CapExceededError
@@ -33,6 +35,7 @@ from oracles import (
     exact_det,
     hook_content_dim,
     moment_traces_oracle,
+    moment_traces_exact,
     moment_traces_subset,
     moment_traces_two_stage,
     omega_expand_oracle,
@@ -124,6 +127,10 @@ class TestIntLemma:
 class TestMgfCoefficient:
     def test_zeroth_is_one(self):
         assert mgf_coefficient(0, np.zeros((3, 3))) == 1.0
+
+    def test_zeroth_checks_the_matrix(self):
+        with pytest.raises(ValueError, match="square matrices"):
+            mgf_coefficient(0, np.ones((2, 3)))
 
     def test_first_is_normalized_trace(self):
         rng = np.random.default_rng(0)
@@ -365,6 +372,21 @@ class TestMomentTraces:
     def test_shapes_are_checked_before_entries(self):
         with pytest.raises(ValueError, match="square matrices of one dimension"):
             moment_traces([np.full((2, 2), np.nan), np.eye(3)])
+
+
+class TestMomentTracesRoundsOnce:
+    """A total that is exact in floats gives the correctly rounded moment, real or complex."""
+
+    @pytest.mark.parametrize(
+        "n,k,sets", [(1, k, 5) for k in range(1, 5)] + [(2, k, 20) for k in range(1, 5)] + [(3, k, 2) for k in range(1, 4)]
+    )
+    def test_gaussian_integer_observables_exact(self, n, k, sets):
+        # the complex total was multiplied by the rounded 1/R and rounded again, one ulp off for some sets
+        rng = np.random.default_rng(7000 + 10 * n + k)
+        for _ in range(sets):
+            mats = [rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n)) for _ in range(k)]
+            real, imag = moment_traces_exact(mats)
+            assert moment_traces(mats) == complex(float(real), float(imag))
 
 
 class TestEntryMoment:
@@ -622,3 +644,27 @@ class TestOmegaRouteAgainstEntryMoments:
                 F(0),
             )
             assert prefactor * via_omega == entry_moment(EntryMomentSpec(2, pairs))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: EntryMomentSpec(2, ()), "at least one index pair is required"),
+        (lambda: hs_volume(0), "n must be positive"),
+        (lambda: det_lemma_value([]), "beta must be non-empty"),
+        (lambda: mgf_coefficient(-1, np.eye(2)), "k must be non-negative"),
+        (lambda: moment_traces([]), "at least one observable is required"),
+        (lambda: purity_mean(0), "n must be positive"),
+    ],
+    ids=["no-pairs", "hs-volume", "det-lemma", "mgf-k", "no-observables", "purity"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_omega_expand_checks_its_word_count(monkeypatch):
+    splits = rho_moments.quantum._set_partitions
+    monkeypatch.setattr(rho_moments.quantum, "_set_partitions", lambda k, owed: splits(k, owed)[1:])
+    with pytest.raises(ValueError, match=re.escape("listed 2 distinct cycle words, not K!/z_mu = 3")):
+        omega_expand(CycleType((1, 1)), 3)
