@@ -17,15 +17,14 @@ the subsets S, layer by layer in |S|, two layers resident, and
 ``omega_expand`` lists canonical cycle words by construction, checking only
 their count. All user-facing moments are normalized by the ensemble volume,
 so results are exact rationals (entry moments) or complex numbers, each part
-rounded once from its exact value when the permutation sum is exact (integer
-and Gaussian-integer observables); the (2*pi)-carrying raw values remain
-available through ``ScaledRational``. numpy is imported only inside the
-functions that take numeric matrices, so the exact engines run without it.
+rounded once from its exact value when the permutation sum or mgf recurrence
+is exact (integer and Gaussian-integer matrices); the (2*pi)-carrying raw
+values remain available through ``ScaledRational``. numpy is imported only
+inside the functions taking numeric matrices, so exact engines run without it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,6 @@ from functools import cache, lru_cache
 from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
-from .characters import dim_char_sum
 from .combinat import (
     CycleType, bounded_factorial, check_cap, class_order, lower_triangle_count, super_factorial, vandermonde,
 )
@@ -246,6 +244,15 @@ def _rising_product(k: int, n: int) -> int:
     return math.perm(k + n * n - 1, k)
 
 
+def _rounded(total: complex, scale: int, den: int) -> complex:
+    """Each part x of ``total`` times 2^scale / den, rounded once; past the float range, a ``ValueError``."""
+    num, den = 1 << max(scale, 0), den << max(-scale, 0)
+    try:  # one int/int true division of exact integers; an inf part raises OverflowError, a nan part ValueError
+        return complex(*(a * num / (b * den) for a, b in map(float.as_integer_ratio, (total.real, total.imag))))
+    except (OverflowError, ValueError) as exc:
+        raise ValueError("the moment does not fit a float") from exc
+
+
 def eval_power_sums(a: numpy.ndarray, max_r: int) -> list[complex]:
     """(t_1, ..., t_max_r) with t_r = tr(a^r), by repeated multiplication; [] for max_r = 0."""
     import numpy as np
@@ -264,22 +271,20 @@ def eval_power_sums(a: numpy.ndarray, max_r: int) -> list[complex]:
 def mgf_coefficient(k: int, a: numpy.ndarray) -> complex:
     """Normalized series coefficient of the moment generating function.
 
-    (N^2-1)!/(K+N^2-1)! * sum over K-box shapes with at most N rows of
-    dim * character(A), which is ``dim_char_sum`` at the power sums of the
-    N x N matrix A; ``dim_char_sum(0, N)`` is 1, so the K = 0 coefficient is 1.
-    A coefficient past the float range raises ``ValueError``, as in ``moment_traces``.
+    (N^2-1)!/(K+N^2-1)! * sum over K-box shapes of dim * character(A), which is
+    h_K = [x^K] exp(N sum_j t_j x^j / j) at t_j = tr(A^j) (Cauchy's identity). Newton's
+    identity gives g_m = m! h_m: g_0 = 1, g_m = N * sum over j = 1..m of (m-1)!/(m-j)! t_j g_(m-j).
+    A is scaled by 2^-e as each C_j in ``moment_traces``, and each part x of g_K is rounded once
+    from the exact x * 2^(K e) (N^2-1)! / (K! (K+N^2-1)!); past the float range it is refused.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    power_sums = eval_power_sums(a, k)  # refuses an empty, non-square or non-finite A
-    n = len(a)
-    try:
-        value = complex(Fraction(1, _rising_product(k, n)) * dim_char_sum(k, n).evaluate(power_sums))
-    except OverflowError:  # a power sum's power past the float range
-        value = complex("nan")
-    if not cmath.isfinite(value):
-        raise ValueError("the moment does not fit a float")
-    return value
+    (a,), n = _validated_observables([a])
+    e = max(math.frexp(abs(a.view(float)).max())[1], -1021)
+    t, g = eval_power_sums(a * 2.0**-e, k), [1.0]
+    for m in range(1, k + 1):  # each weight (m-1)!/(m-j)! is a float product, inf past the float range
+        g.append(n * sum(math.prod(range(m - j + 1, m), start=1.0) * t[j - 1] * g[m - j] for j in range(1, m + 1)))
+    return _rounded(g[k], k * e, math.factorial(k) * _rising_product(k, n))
 
 
 def _set_partitions(k: int, owed: list[int]) -> list[tuple[tuple[int, ...], ...]]:
@@ -451,12 +456,7 @@ def moment_traces(
         return np.concatenate((chains, (n * np.einsum("mii->m", chains))[:, None, None] * eye))
 
     total = complex(_permutation_sum(k, eye[None], extend)[-1, 0, 0])  # the full set's closed total times I
-    scale = sum(exponents)
-    num, den = 1 << max(scale, 0), _rising_product(k, n) << max(-scale, 0)
-    try:  # each part x times num / den, one int/int true division of exact integers: rounded once
-        return complex(*(a * num / (b * den) for a, b in map(float.as_integer_ratio, (total.real, total.imag))))
-    except OverflowError as exc:
-        raise ValueError("the moment does not fit a float") from exc
+    return _rounded(total, sum(exponents), _rising_product(k, n))
 
 
 def entry_moment(spec: EntryMomentSpec, *, max_boxes: int = DEFAULT_BOX_CAP) -> Fraction:

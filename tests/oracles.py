@@ -14,7 +14,9 @@ set partitions behind ``omega_expand`` are also built the way the library built
 them before each became one pass: sorted partitions, |class| * N^cycles / K!,
 and a recursion that copies every tail. The mean purity sums all N^2 entry
 moments rho[i,j] * rho[j,i], as the library did before it used two, and the
-exact moment of Gaussian-integer observables sums entry moments over index pairs.
+exact moment of Gaussian-integer observables sums entry moments over index pairs. The exact
+generating-function coefficient of a Gaussian-integer matrix is the class sum over its exact power
+sums, as the library evaluated it before it used Newton's identity.
 """
 
 from fractions import Fraction
@@ -97,6 +99,37 @@ def dim_char_sum_formula(k, n):
         (c.counts[: max(c.cycle_lengths(), default=0)], Fraction(class_order(c) * n ** c.cycles(), factorial(k)))
         for c in enumerate_cycle_types_oracle(k)
     ]
+
+
+def mgf_coefficient_exact(k, a):
+    """Exact (real, imaginary) parts, as Fractions, of ``mgf_coefficient(k, a)`` for a Gaussian-integer matrix.
+
+    The power sums tr(a^j) are formed in Python ints as (re, im) pairs, and the
+    ``dim_char_sum_formula`` coefficients weight the class products; the sum is divided by
+    (K+N^2-1)!/(N^2-1)!.
+    """
+    a = np.asarray(a, dtype=complex)
+    if not (a.real == a.real.round()).all() or not (a.imag == a.imag.round()).all():
+        raise ValueError("the matrix must have Gaussian-integer entries")
+    n = a.shape[0]
+    re, im = (part.astype(int).astype(object) for part in (a.real, a.imag))  # Python ints: exact products
+    power_re, power_im, sums = np.eye(n, dtype=int).astype(object), np.zeros((n, n), dtype=int).astype(object), []
+    for _ in range(k):
+        power_re, power_im = power_re @ re - power_im @ im, power_re @ im + power_im @ re
+        sums.append((int(power_re.trace()), int(power_im.trace())))
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    real = imag = Fraction(0)
+    for counts, coeff in dim_char_sum_formula(k, n):
+        term = (1, 0)
+        for length, count in enumerate(counts, start=1):
+            for _ in range(count):
+                term = mul(term, sums[length - 1])
+        real, imag = real + coeff * term[0], imag + coeff * term[1]
+    scale = Fraction(factorial(n * n - 1), factorial(k + n * n - 1))
+    return real * scale, imag * scale
 
 
 def set_partitions_oracle(rest, owed):

@@ -284,6 +284,13 @@ class TestQmomentCommand:
         assert "indices must be integers, got '1,x'" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("entries", ("", "   "))
+    def test_no_entry_pair_is_usage_error(self, runner, entries):
+        result = runner.invoke(main, ["qmoment", "--n", "2", "--entries", entries])
+        assert result.exit_code == 2, result.output
+        assert "--entries must name at least one i,j pair" in result.output
+        assert "Traceback" not in result.output
+
     def test_cap_exceeded_is_resource_error(self, runner):
         entries = " ".join(["1,1"] * 9)
         result = runner.invoke(main, ["qmoment", "--n", "2", "--entries", entries])

@@ -34,6 +34,7 @@ from oracles import (
     entry_moment_two_stage,
     exact_det,
     hook_content_dim,
+    mgf_coefficient_exact,
     moment_traces_oracle,
     moment_traces_exact,
     moment_traces_subset,
@@ -143,22 +144,54 @@ class TestMgfCoefficient:
         with pytest.raises(ValueError, match="finite entries"):
             mgf_coefficient(3, a)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    @pytest.mark.parametrize("a", (np.diag([1e200, 1.0]), np.diag([1e110, -1e110])))
+    @pytest.mark.parametrize("a", (np.diag([1e200, 1.0]),))
     def test_coefficient_past_the_float_range_is_refused(self, a):
-        # the first raised a bare OverflowError from complex exponentiation; in the second,
-        # tr(a^3) = inf - inf, and the coefficient came out nan+nanj
+        # the power sums' powers raised a bare OverflowError from complex exponentiation
         with pytest.raises(ValueError, match="the moment does not fit a float"):
             mgf_coefficient(3, a)
 
+    def test_weight_past_the_float_range_is_refused(self):
+        # the weight 199!/0! is inf, so the total is too; 1/200! itself is below the float range
+        with pytest.raises(ValueError, match="the moment does not fit a float"):
+            mgf_coefficient(200, np.eye(2))
+
+    def test_opposite_signs_give_zero(self):
+        # relabelling 1 <-> 2 flips the sign of rho11 - rho22, so every odd coefficient is 0;
+        # unscaled, tr(a^3) = inf - inf and the coefficient was refused
+        assert mgf_coefficient(3, np.diag([1e110, -1e110])) == 0
+
+    @pytest.mark.parametrize(
+        "k, a, expected",
+        [
+            # rho11 ~ Beta(2, 2), so E[rho11^10] = 6 / (12 * 13)
+            (10, np.diag([2e30, 0.0]), 2e30**10 * 6 / (12 * 13) / factorial(10)),
+            (30, 3e9 * np.eye(3), 3e9**30 / factorial(30)),
+        ],
+        ids=("beta-2-2", "scaled-identity"),
+    )
+    def test_scaled_recurrence_stays_in_range(self, k, a, expected):
+        # unscaled, g_K = K! h_K passes the float range here and the coefficient was refused
+        assert abs(mgf_coefficient(k, a) - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("gaussian", (False, True))
+    def test_integer_matrices_exact(self, n, gaussian):
+        # the class sum in floats was multiplied by the rounded 1/R and rounded again
+        rng = np.random.default_rng(20261019 + 10 * n + gaussian)
+        for _ in range(50):
+            k = int(rng.integers(0, 6))
+            a = rng.integers(-3, 4, (n, n)) + gaussian * 1j * rng.integers(-3, 4, (n, n))
+            real, imag = mgf_coefficient_exact(k, a)
+            assert mgf_coefficient(k, a) == complex(float(real), float(imag))
+
     @pytest.mark.parametrize("n", (2, 3, 4))
-    @pytest.mark.parametrize("k", range(0, 7))
+    @pytest.mark.parametrize("k", (*range(0, 7), 30, 60))
     def test_identity_series_term(self, n, k):
         # At A = I the K-th coefficient must be 1/K! so the series sums to e
         assert mgf_coefficient(k, np.eye(n)) == pytest.approx(1 / factorial(k))
 
     @pytest.mark.parametrize("n", (2, 3, 4))
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 11))
     def test_character_route(self, n, k):
         # the paper's sum over shapes of dim * character, the character by Weyl's ratio at the eigenvalues of A
         rng = np.random.default_rng(10 * n + k)
