@@ -10,12 +10,14 @@ It is obtained by expanding the dimension-weighted character sum into class
 monomials of trace power sums and replacing each monomial by its sum of trace
 products over permutations, and is cross-checked against the K = 1, 2 closed
 forms, the K <= 4 weighted-character table, and Monte Carlo sampling. The
-permutation sum and the expansion route of ``omega_expand`` share one rule:
-written from its least index, in order of those indices, each cycle opens at
-the least index not yet used. So the sum takes 2^(K-1) K chain steps over
-the subsets S, layer by layer in |S|, two layers resident, and
-``omega_expand`` lists canonical cycle words by construction, checking only
-their count. All user-facing moments are normalized by the ensemble volume,
+permutation sum groups equal observables, each distinct one a colour of
+multiplicity m_i: it is m! [x^m] det(I - sum_i x_i C_i)^(-N), by a recurrence
+over the content vectors c <= m, one chain step per colour present in each,
+layer by layer in |c|, two layers resident; with no repeats that is
+(K-1) 2^(K-2) + 1 steps, and one observable repeated K times takes K.
+``omega_expand`` lists canonical cycle words by construction, each cycle
+opening at the least index not yet used, and checks only their count.
+All user-facing moments are normalized by the ensemble volume,
 so results are exact rationals (entry moments) or complex numbers, each part
 rounded once from its exact value when the permutation sum or mgf recurrence
 is exact (integer and Gaussian-integer matrices); the (2*pi)-carrying raw
@@ -52,18 +54,20 @@ __all__ = [
     "purity_mean",
 ]
 
-# Largest K accepted per call: the permutation sums cost 2^(K-1) K chain steps,
-# layer by layer in |S|, two layers resident (at most C(K-1, (K-1)//2) chains
-# each), and ``moment_traces`` also holds three N x N matrices per term of the
-# layer it builds (595 in all at K = 8). Both read one index plan per K, built
-# once and cached for the last 8 K (0.015 MB at K = 8, 0.55 MB at K = 12, 9.4 MB
-# at K = 16, holding no input or result); ``omega_expand`` lists the K!/z_mu
-# distinct cycle words of its class, each block of a set partition of 1..K
-# opening at the least unused index.
+# Largest K accepted per call: the permutation sums cost one chain step per
+# colour present in each content vector c <= m - e_0 of the multiplicities m,
+# at most (K-1) 2^(K-2) + 1 when no input repeats, layer by layer in |c|, two
+# layers resident (at most C(K-1, (K-1)//2) states each). ``moment_traces``
+# also holds three N x N matrices per term of the layer it builds (455 in all
+# at K = 8 distinct). Both read one index plan per multiplicity tuple, built
+# once and cached for every partition of K <= 8 (0.25 MB in all; 0.37 MB for
+# K = 12 distinct and 8.3 MB for K = 16, holding no input or result);
+# ``omega_expand`` lists the K!/z_mu distinct cycle words of its class, each
+# block of a set partition of 1..K opening at the least unused index.
 # Overridable per call. A refusal comes before any count; it names K!/z_mu only
 # while K! < 2^63.
 DEFAULT_BOX_CAP = 8
-PERMUTATION_SUM_COST = "the permutation sum costs 2^(K-1)*K chain steps"
+PERMUTATION_SUM_COST = "the permutation sum costs up to (K-1)*2^(K-2)+1 chain steps, fewer when inputs repeat"
 
 
 @dataclass(frozen=True)
@@ -290,7 +294,7 @@ def mgf_coefficient(k: int, a: numpy.ndarray) -> complex:
 def _set_partitions(k: int, owed: list[int]) -> list[tuple[tuple[int, ...], ...]]:
     """Splits of 1..k into owed[L-1] blocks of each length L, led by their minima, in lead order.
 
-    As in ``_permutation_sum``, the block holding the least unused index opens first. One recursion
+    The block holding the least unused index opens first. One recursion
     carries the prefix of blocks, lowers ``owed`` around each block and appends each split to one list.
     """
     splits: list[tuple[tuple[int, ...], ...]] = []
@@ -365,64 +369,91 @@ def _validated_observables(observables: Sequence[numpy.ndarray]) -> tuple[numpy.
     return stacked, n
 
 
-@lru_cache(maxsize=8)
-def _layer_plan(k: int) -> tuple[tuple[list[int], list[int], list[int]], ...]:
-    """Each layer's (src, mul, starts) lists for ``_permutation_sum`` over S_K, layer 1 first.
+@lru_cache(maxsize=66)  # every partition of every K <= 8
+def _layer_plan(mults: tuple[int, ...]) -> tuple[tuple[list[int], list[int], list[int], list[int]], ...]:
+    """Each layer's (src, mul, weight, starts) lists for ``_permutation_sum``, layer 1 first.
 
-    Layer 1 is {0}, a cycle opened at 0 from the empty set. Each layer's
-    masks are those of the one below plus an index past their highest, read
-    through a mask -> position table of the layer below. The plan depends on
-    K alone and is shared by every call, so no engine may write to its lists.
+    Layer L holds the content vectors c <= m - e_0 with |c| = L, m the
+    multiplicities; layer 0 is c = 0 alone. Each state's terms are its
+    colours i with c_i > 0, in order, so its least colour's comes first:
+    each reads c - e_i in the layer below, through a content -> position
+    table of that layer only, and carries the weight c_i. Layer K - 1 is
+    m - e_0 alone, and layer K, m alone, holds its colour-0 term only. The
+    plan depends on m alone and is shared by every call, so no engine may
+    write to its lists. The cache keeps all 66 plans of K <= 8 resident:
+    3,409 terms, 0.25 MB. A K's largest plan, K distinct colours, holds
+    (K - 1) 2^(K - 2) + 1 terms: 0.015 MB at K = 8, 0.37 MB at K = 12 and
+    8.3 MB at K = 16.
     """
-    layers = [([0], [0], [0])]
-    sets = [(1, ())]  # the layer's masks, each with its indices past 0
-    for _ in range(1, k):
-        below = {s: p for p, (s, _) in enumerate(sets)}  # mask -> position in the layer below
-        # The next layer: each set of the one below plus an index past its highest.
-        sets = [(s | 1 << j, (*rest, j)) for s, rest in sets for j in range(s.bit_length(), k)]
-        src, mul, starts, chains = [], [], [], len(below)  # the layer below's closed totals follow its chains
-        for s, rest in sets:
+    top = (mults[0] - 1, *mults[1:])
+    states = [((0,) * len(mults), 0)]  # each state with its highest colour present, or 0
+    layers = []
+    for _ in range(1, sum(mults)):
+        below = {c: p for p, (c, _) in enumerate(states)}
+        # The next layer: each state below plus one of a colour at or past its highest.
+        states = [
+            ((*c[:i], c[i] + 1, *c[i + 1:]), i) for c, high in states for i in range(high, len(c)) if c[i] < top[i]
+        ]
+        src, mul, weight, starts = [], [], [], []
+        for c, _ in states:
             starts.append(len(src))
-            for j in rest:  # a chain step by C_j from chains[S - j]
-                src.append(below[s ^ 1 << j])
-            mul += rest
-            a = 1
-            while s >> a & 1:  # a cycle opens at a, in the low run of ones, from closed[S - a]
-                src.append(chains + below[s ^ 1 << a])
-                mul.append(a)
-                a += 1
-        layers.append((src, mul, starts))
+            for i, ci in enumerate(c):
+                if ci:
+                    src.append(below[(*c[:i], ci - 1, *c[i + 1:])])
+                    mul.append(i)
+                    weight.append(ci)
+        layers.append((src, mul, weight, starts))
+    layers.append(([0], [0], [mults[0]], [0]))  # F~[m] = n tr(R~[m - e_0] C_0)
     return tuple(layers)
 
 
-def _permutation_sum(k: int, empty, extend: Callable):
-    """Sum over pi in S_K of n^cycles(pi) * prod over cycles of the cycle weight, by layers.
+def _permutation_sum(mults: tuple[int, ...], empty, extend: Callable):
+    """Sum over pi in S_K of n^cycles(pi) * prod over cycles of tr(C_j1 ... C_jm), by content layers.
 
-    With each cycle written from its least index, in order of those indices,
-    every cycle opens at the least index not yet used. Over the subsets S
-    holding index 0, chains[S] sums the ways to use S with one cycle open
-    (closed cycles' weights times the open one's running product), and
-    closed[S] = n * (chains[S] closed) those with every cycle closed;
-    closed[{}] = 1. chains[S] sums a chain step chains[S - j] * C_j for each j
-    in S - {0}, and an opening closed[S - a] * C_a for each a in the low run
-    of ones of S. Both reads come from subsets of size |S| - 1, so the sum
-    goes layer by layer in |S|, two layers resident.
+    Colour each distinct observable i, of multiplicity m_i, in ascending
+    order of m_i. The sum is m! [x^m] F for F = det(I - X)^(-n),
+    X = sum_i x_i C_i (Goodman's complex-Wishart Laplace transform), with
+    m! = prod_i m_i!. With R = F (I - X)^(-1) and, for each content vector c,
+    F~[c] = c! [x^c] F and R~[c] = c! [x^c] R:
 
-    A layer is its masks' chains followed by their closed totals; ``empty``
-    is layer 0, the empty set's closed total alone. ``extend(below, src, mul,
-    starts)`` returns each layer from the one below: the terms of its mask m
-    are t in range(starts[m], starts[m + 1]), each entry src[t] of ``below``
-    times C_mul[t]. A src[t] past the chains of ``below`` reads a closed
-    total, so that term opens a cycle at mul[t]. The last layer, the full
-    set's alone, is returned. The lists come from ``_layer_plan(k)``, built
-    once per K and cached for the last 8 K: 2^(K-2) (K+1) terms in all, each
-    an entry of src and of mul, 0.015 MB resident at K = 8, 0.55 MB at K = 12
-    and 9.4 MB at K = 16.
+        R~[c] = F~[c] I + sum over c_i > 0 of c_i R~[c - e_i] C_i,
+        F~[c] = n tr(R~[c - e_i] C_i) for any i with c_i > 0 (Jacobi's formula),
+
+    the second taken at the least colour of c, and the sum is
+    F~[m] = n tr(R~[m - e_0] C_0). Only the states c <= m - e_0 are read,
+    prod_i (m_i + 1) * m_0 / (m_0 + 1) of them, one chain step per colour
+    present in each, and one step for m: 2^(K-1) states and (K-1) 2^(K-2) + 1
+    steps when no observable repeats, K of each for one repeated K times. Every
+    read comes from the layer |c| - 1, so the sum goes layer by layer, two
+    layers resident. The weights c_i are small integers, so integer inputs
+    keep an integer sum, with no division.
+
+    A layer is a pair: its states' F~ and their R~ as the engine keeps it;
+    ``empty`` is layer 0, c = 0, with F~ = 1 and R~ = I. ``extend(below,
+    src, mul, weight, starts)`` returns each layer from the one below: the
+    terms of its state s are t in range(starts[s], starts[s + 1]), each
+    weight[t] times R~ entry src[t] of ``below`` times C_mul[t], its first
+    term its least colour's. The last layer, m's alone, is returned, and its
+    F~ is the sum; of its R~, only the colour-0 term is kept. The lists come
+    from ``_layer_plan(mults)``, built once per multiplicity tuple.
     """
     layer = empty
-    for src, mul, starts in _layer_plan(k):
-        layer = extend(layer, src, mul, starts)
+    for src, mul, weight, starts in _layer_plan(mults):
+        layer = extend(layer, src, mul, weight, starts)
     return layer
+
+
+def _colours(items: Sequence) -> tuple[list, tuple[int, ...]]:
+    """The distinct hashable ``items`` in ascending order of multiplicity, and those multiplicities.
+
+    Ties go last-seen first, so colour 0, the one closed last, is the latest of the rarest items:
+    two distinct observables then multiply in the order given, C_1 C_2.
+    """
+    counts: dict = {}
+    for item in items:
+        counts[item] = counts.get(item, 0) + 1
+    colours = sorted(reversed(counts), key=counts.__getitem__)
+    return colours, tuple(map(counts.__getitem__, colours))
 
 
 def moment_traces(
@@ -430,13 +461,14 @@ def moment_traces(
 ) -> complex:
     """Mean of prod_j (C_j . rho) over the flat density-matrix ensemble.
 
-    The permutation sum of the module docstring over N x N chains: a step
-    multiplies by C_j, and a cycle closes with a trace. Each layer's steps are
-    one gather and one ``einsum`` (not BLAS, whose bits depend on the build and
-    CPU), summed per mask by ``reduceat``; a closed total is stacked as that
-    total times I, so an opening is one more step.
-    Building layer L from its T_L terms holds 3 T_L + 2 C(K-1, L-2) N x N
-    matrices: the layer below, and the gather, the C_j and their products.
+    The permutation sum of the module docstring over N x N matrices, each
+    byte-equal observable of the scaled stack one colour. As in
+    ``entry_moment``, a layer keeps F~ and R~ - F~ I, so each step is one
+    gather and one ``einsum`` (not BLAS, whose bits depend on the build and
+    CPU) plus F~ C_i; F~ is n times the trace of each state's first product,
+    and the products, weighted when a colour repeats, are summed per state by
+    ``reduceat``. Building a layer from its T terms holds 3 T + S N x N
+    matrices, S the states of the layer below: 455 at K = 8 distinct.
     No chain overflows: each C_j is scaled by 2^-e_j, its largest |Re| or |Im| then in [1/2, 1)
     (or 2^1021 up at most). Each part x of the total is rounded once from the exact
     x * 2^(sum e_j) * (N^2-1)!/(K+N^2-1)!, so the moment is exact wherever the total
@@ -449,52 +481,65 @@ def moment_traces(
     peaks = abs(mats.view(float)).max(axis=(1, 2)).tolist()  # each C_j's largest |Re| or |Im|
     exponents = [max(math.frexp(peak)[1], -1021) for peak in peaks]
     mats *= np.array([2.0**-e for e in exponents])[:, None, None]
-    eye = np.eye(n, dtype=complex)
+    keys = [c.tobytes() for c in mats]
+    colours, mults = _colours(keys)
+    mats = mats[[keys.index(c) for c in colours]]  # each colour's first observable
+    repeated = mults[-1] > 1  # else every weight is 1
 
-    def extend(below, src, mul, starts):
-        chains = np.add.reduceat(np.einsum("tik,tkl->til", below[src], mats[mul]), starts)
-        return np.concatenate((chains, (n * np.einsum("mii->m", chains))[:, None, None] * eye))
+    def extend(below, src, mul, weight, starts):
+        fs, parts = below
+        steps = mats[mul]
+        prods = np.einsum("tik,tkl->til", parts[src], steps)
+        prods += np.einsum("t,tkl->tkl", fs[src], steps)  # F~ C_i, by einsum: * rounds complex products differently
+        f = n * np.einsum("tii->t", prods).take(starts)
+        if repeated:
+            prods *= np.array(weight, float)[:, None, None]
+        return f, np.add.reduceat(prods, starts)
 
-    total = complex(_permutation_sum(k, eye[None], extend)[-1, 0, 0])  # the full set's closed total times I
+    total = complex(_permutation_sum(mults, (np.ones(1), np.zeros((1, n, n), complex)), extend)[0][0])
     return _rounded(total, sum(exponents), _rising_product(k, n))
+
+
+_ZERO = Fraction(0)  # one shared zero: a Fraction is immutable, and most entry moments vanish
 
 
 def entry_moment(spec: EntryMomentSpec, *, max_boxes: int = DEFAULT_BOX_CAP) -> Fraction:
     """Exact mean of prod_p rho[i_p, j_p] over the flat ensemble.
 
-    A single-entry observable keeps one nonzero entry, so a chain is an
-    integer count per (row its open cycle starts on, column it ends on), and
-    a cycle closes where the two meet: the sum stays in integer arithmetic.
+    Each distinct pair (i, j) is one colour, a single-entry observable, so a
+    step by it moves column i of R~ to column j. R~ is kept as F~ I plus its
+    other integer entries, a dict of rows per column: the identity part costs
+    one entry per step, none when F~ = 0, and the sum stays in integers.
     """
     k = check_cap(spec.order(), max_boxes, PERMUTATION_SUM_COST)
     n = spec.dimension
-    rows = [i for i, _ in spec.pairs]
-    cols = [j for _, j in spec.pairs]
+    rows, cols = zip(*spec.pairs)
     if sorted(rows) != sorted(cols):
-        return Fraction(0)  # no cycle closes unless the columns rearrange the rows
+        return _ZERO  # no cycle closes unless the columns rearrange the rows
+    colours, mults = _colours(spec.pairs)
 
-    def extend(below: list, src: list[int], mul: list[int], starts: list[int]) -> list:
-        size, layer, closed = len(below) // 2, [], []
+    def extend(below, src, mul, weight, starts):
+        fs, parts = below
+        layer_f, layer = [], []
         for lo, hi in zip(starts, starts[1:] + [len(src)]):
-            ends: dict[tuple[int, int], int] = {}
-            diagonal = 0
+            s, (at, to) = src[lo], colours[mul[lo]]  # the least colour's step: F~ = n tr(R~ E_at,to) = n R~[to, at]
+            column = parts[s].get(at)
+            layer_f.append(n * ((column.get(to, 0) if column else 0) + (fs[s] if at == to else 0)))
+            ends: dict[int, dict[int, int]] = {}
             for t in range(lo, hi):
-                at, to = rows[mul[t]], cols[mul[t]]
-                if src[t] < size:  # a chain step
-                    for (row, col), count in below[src[t]].items():
-                        if col == at:
-                            ends[row, to] = ends.get((row, to), 0) + count
-                            if row == to:
-                                diagonal += count
-                elif weight := below[src[t]]:  # a closed total: a cycle opens
-                    ends[at, to] = ends.get((at, to), 0) + weight
-                    if at == to:
-                        diagonal += weight
+                s, (at, to), w = src[t], colours[mul[t]], weight[t]
+                f, column = fs[s], parts[s].get(at)
+                if f or column:
+                    target = ends.setdefault(to, {})
+                    if f:
+                        target[at] = target.get(at, 0) + w * f
+                    if column:
+                        for row, count in column.items():
+                            target[row] = target.get(row, 0) + w * count
             layer.append(ends)
-            closed.append(n * diagonal)
-        return layer + closed
+        return layer_f, layer
 
-    total = _permutation_sum(k, [1], extend)[-1]
+    total = _permutation_sum(mults, ([1], [{}]), extend)[0][0]
     return Fraction(total, _rising_product(k, n))
 
 

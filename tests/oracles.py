@@ -5,11 +5,12 @@ cofactor expansions, dimensions come from the hook-content formula, U(N)
 characters are Weyl's determinant ratio over the eigenvalues, ensemble
 moments and class-monomial expansions list all K! permutations (at larger K,
 ensemble moments are also summed over set partitions in two stages, as the
-subset engine did before it became one pass, and over subsets in increasing
-order of mask, as it did before it went layer by layer), dimension-weighted
-character sums go over irreps as in the paper, density matrices are the complex Gram
-product G G^H of one einsum, and integrals go through scipy quadrature in the
-tests themselves. The S_K classes, the dimension-weighted coefficients and the
+subset engine did before it became one pass, over subsets in increasing
+order of mask, as it did before it went layer by layer, and layer by layer in
+|S| from a plan keyed by K, as it did before it went over content vectors),
+dimension-weighted character sums go over irreps as in the paper, density
+matrices are the complex Gram product G G^H of one einsum, and integrals go
+through scipy quadrature in the tests themselves. The S_K classes, the dimension-weighted coefficients and the
 set partitions behind ``omega_expand`` are also built the way the library built
 them before each became one pass: sorted partitions, |class| * N^cycles / K!,
 and a recursion that copies every tail. The mean purity sums all N^2 entry
@@ -203,6 +204,14 @@ def ensemble_normalization(k, n):
     return Fraction(factorial(n * n - 1), factorial(k + n * n - 1))
 
 
+def normalized_once(total, k, n):
+    """The permutation-sum ``total`` times the ensemble normalization, each finite part rounded once."""
+    norm = ensemble_normalization(k, n)
+    if not (isfinite(total.real) and isfinite(total.imag)):
+        return complex(norm * total)
+    return complex(float(norm * Fraction(total.real)), float(norm * Fraction(total.imag)))
+
+
 def entry_moment_oracle(n, pairs):
     """Mean of prod rho[i_p, j_p]: a cycle survives when each column meets the next row."""
     rows = [i for i, _ in pairs]
@@ -318,16 +327,14 @@ def entry_moment_two_stage(n, pairs):
 
 
 def moment_traces_two_stage(mats):
-    """``moment_traces`` by the two-stage sum, an exactly real total normalized exactly."""
+    """``moment_traces`` by the two-stage sum, each part of the total normalized and rounded once."""
     mats = [np.asarray(c, dtype=complex) for c in mats]
     k, n = len(mats), mats[0].shape[0]
     total = two_stage_permutation_sum(
         k, n, lambda a: mats[a], lambda prev: sum(chain @ mats[j] for chain, j in prev),
         lambda chain, _: complex(chain.trace()),
     )
-    if total.imag == 0 and isfinite(total.real):
-        total = Fraction(total.real)
-    return complex(ensemble_normalization(k, n) * total)
+    return normalized_once(total, k, n)
 
 
 def subset_permutation_sum(k, n, grow, close):
@@ -376,7 +383,7 @@ def entry_moment_subset(n, pairs):
 
 
 def moment_traces_subset(mats):
-    """``moment_traces`` by the subset-order loop, an exactly real total normalized exactly."""
+    """``moment_traces`` by the subset-order loop, each part of the total normalized and rounded once."""
     mats = [np.asarray(c, dtype=complex) for c in mats]
     k, n = len(mats), mats[0].shape[0]
     total = subset_permutation_sum(
@@ -384,9 +391,75 @@ def moment_traces_subset(mats):
         lambda prev, opened: sum(chain @ mats[j] for chain, j in prev) + sum(w * mats[a] for w, a in opened),
         lambda chain: complex(chain.trace()),
     )
-    if total.imag == 0 and isfinite(total.real):
-        total = Fraction(total.real)
-    return complex(ensemble_normalization(k, n) * total)
+    return normalized_once(total, k, n)
+
+
+def subset_layer_plan(k):
+    """Each layer's (src, mul, starts) lists of the subset sum over S_K, layer 1 first, keyed by K alone.
+
+    The plan the library cached per K before the permutation sum went over content vectors.
+    Layer 1 is {0}, a cycle opened at 0 from the empty set. Each layer's masks are those of
+    the one below plus an index past their highest. A layer is its masks' chains followed by
+    their closed totals; the terms of mask m are t in range(starts[m], starts[m + 1]), each
+    entry src[t] of the layer below times C_mul[t], and a src[t] past the chains of the layer
+    below reads a closed total, so that term opens a cycle at mul[t].
+    """
+    layers = [([0], [0], [0])]
+    sets = [(1, ())]  # the layer's masks, each with its indices past 0
+    for _ in range(1, k):
+        below = {s: p for p, (s, _) in enumerate(sets)}
+        sets = [(s | 1 << j, (*rest, j)) for s, rest in sets for j in range(s.bit_length(), k)]
+        src, mul, starts, chains = [], [], [], len(below)
+        for s, rest in sets:
+            starts.append(len(src))
+            for j in rest:  # a chain step by C_j from chains[S - j]
+                src.append(below[s ^ 1 << j])
+            mul += rest
+            a = 1
+            while s >> a & 1:  # a cycle opens at a, in the low run of ones, from closed[S - a]
+                src.append(chains + below[s ^ 1 << a])
+                mul.append(a)
+                a += 1
+        layers.append((src, mul, starts))
+    return layers
+
+
+def entry_moment_layered(n, pairs):
+    """``entry_moment`` by the K-keyed subset layers: a chain counts (start row, end column) pairs."""
+    rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
+    if sorted(rows) != sorted(cols):
+        return Fraction(0)
+    layer = [1]
+    for src, mul, starts in subset_layer_plan(len(pairs)):
+        size, chains, closed = len(layer) // 2, [], []
+        for lo, hi in zip(starts, starts[1:] + [len(src)]):
+            ends = {}
+            for t in range(lo, hi):
+                at, to = rows[mul[t]], cols[mul[t]]
+                if src[t] < size:
+                    for (row, col), count in layer[src[t]].items():
+                        if col == at:
+                            ends[row, to] = ends.get((row, to), 0) + count
+                elif layer[src[t]]:
+                    ends[at, to] = ends.get((at, to), 0) + layer[src[t]]
+            chains.append(ends)
+            closed.append(n * sum(c for (row, col), c in ends.items() if row == col))
+        layer = chains + closed
+    return ensemble_normalization(len(pairs), n) * layer[-1]
+
+
+def moment_traces_layered(mats):
+    """``moment_traces`` by the K-keyed subset layers, unscaled, each part of the total normalized and rounded once."""
+    mats = np.stack([np.asarray(c, dtype=complex) for c in mats])
+    k, n = len(mats), mats.shape[1]
+    eye = np.eye(n, dtype=complex)
+    layer = eye[None]
+    for src, mul, starts in subset_layer_plan(k):
+        chains = np.add.reduceat(np.einsum("tik,tkl->til", layer[src], mats[mul]), starts)
+        layer = np.concatenate((chains, (n * np.einsum("mii->m", chains))[:, None, None] * eye))
+    total = complex(layer[-1, 0, 0])
+    return normalized_once(total, k, n)
 
 
 def density_oracle(z):

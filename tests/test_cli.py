@@ -361,18 +361,18 @@ class TestVerifyCommand:
     def test_perturbed_block_weight_fails(self, runner, monkeypatch):
         engine = rho_moments.quantum._permutation_sum
 
-        def corrupted(k, empty, extend):
-            # The layers are built in order of size, so the K-th is the full
-            # set's, whose closed total comes last: add 1 to that total only.
+        def corrupted(mults, empty, extend):
+            # The layers are built in order of |c|, so the K-th holds the full
+            # content vector m alone, whose F~ is the sum: add 1 to it only.
             layers = itertools.count(1)
 
-            def extend_wrongly(below, src, mul, starts):
-                layer = extend(below, src, mul, starts)
-                if next(layers) == k:
-                    layer[-1] += 1
+            def extend_wrongly(below, src, mul, weight, starts):
+                layer = extend(below, src, mul, weight, starts)
+                if next(layers) == sum(mults):
+                    layer[0][-1] += 1
                 return layer
 
-            return engine(k, empty, extend_wrongly)
+            return engine(mults, empty, extend_wrongly)
 
         monkeypatch.setattr(rho_moments.quantum, "_permutation_sum", corrupted)
         result = runner.invoke(

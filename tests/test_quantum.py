@@ -30,6 +30,7 @@ from rho_moments.quantum import (
 
 from oracles import (
     entry_moment_oracle,
+    entry_moment_layered,
     entry_moment_subset,
     entry_moment_two_stage,
     exact_det,
@@ -37,6 +38,7 @@ from oracles import (
     mgf_coefficient_exact,
     moment_traces_oracle,
     moment_traces_exact,
+    moment_traces_layered,
     moment_traces_subset,
     moment_traces_two_stage,
     omega_expand_oracle,
@@ -476,7 +478,7 @@ class TestEntryMoment:
                 spec = EntryMomentSpec(n, tuple((i, i) for i in rows))
                 assert entry_moment(spec) == simplex_moment(SimplexMomentSpec(powers)) / norm
 
-    @pytest.mark.parametrize("k", range(10, 15))
+    @pytest.mark.parametrize("k", range(10, 31))
     def test_diagonal_is_dirichlet_past_the_default_cap(self, k):
         norm = simplex_moment(SimplexMomentSpec((1, 1)))
         for ones in range(k + 1):
@@ -572,69 +574,152 @@ class TestLayeredEngineAgainstSubsetOracle:
         assert got == moment_traces_subset(integers) == moment_traces_two_stage(integers)
 
 
+class TestContentEngineWithRepeats:
+    """Repeated pairs and observables, which share a colour, against the oracles that give each its own index."""
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_entry_moments_random_with_repeats_past_the_default_cap(self, n):
+        rng = np.random.default_rng(8000 + n)
+        for _ in range(12):
+            k = int(rng.integers(9, 13))  # more pairs than the N^2 <= 9 cells, so some repeat
+            rows = rng.integers(1, n + 1, size=k).tolist()
+            pairs = tuple(zip(rows, rng.permutation(rows).tolist()))
+            assert entry_moment(EntryMomentSpec(n, pairs), max_boxes=12) == entry_moment_subset(n, pairs)
+
+    def test_entry_moments_equal_the_k_keyed_layered_oracle(self):
+        rng = np.random.default_rng(8100)
+        for _ in range(60):
+            n, k = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            rows = rng.integers(1, n + 1, size=k).tolist()
+            cols = rng.permutation(rows).tolist() if rng.random() < 0.8 else rng.integers(1, n + 1, size=k).tolist()
+            pairs = tuple(zip(rows, cols))
+            assert entry_moment(EntryMomentSpec(n, pairs)) == entry_moment_layered(n, pairs)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_gaussian_integer_observables_with_repeats_are_bit_equal(self, n):
+        rng = np.random.default_rng(8200 + n)
+        for _ in range(8):
+            k = int(rng.integers(2, 9))
+            colours = int(rng.integers(1, 4))
+            pool = [rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n)) for _ in range(colours)]
+            mats = [pool[c] for c in rng.integers(0, len(pool), size=k)]
+            assert moment_traces(mats) == moment_traces_subset(mats) == moment_traces_layered(mats)
+
+    def test_repeated_complex_observables_match_the_two_stage_sum(self):
+        rng = np.random.default_rng(8300)
+        a, b, c = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3))
+        for mats in ([a] * 10, [a, b] * 4 + [c], [b, a, a, c, a, b, a, a, c], [c] * 3 + [a] * 7):
+            expected = moment_traces_two_stage(mats)
+            assert abs(moment_traces(mats, max_boxes=10) - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_identity_powers_are_one(self, n):
+        # exactly while the total, (N^2)_K rising, fits 53 bits, so that every chain is exact; past that, within an ulp
+        for k in range(1, 31):
+            value = moment_traces([np.eye(n)] * k, max_boxes=k)
+            if perm(n * n + k - 1, k) < 2**53:
+                assert value == 1.0
+            assert value.imag == 0 and abs(value.real - 1) <= 2**-52
+
+
+def _partitions(k):
+    """Every partition of k as an ascending multiplicity tuple."""
+    return [tuple(sorted(p.parts)) for p in enumerate_partitions(k, k)]
+
+
 class TestLayerPlan:
-    """The lists ``_permutation_sum`` hands each layer: their sizes, and the layer each term reads."""
+    """The lists ``_permutation_sum`` hands each layer: their sizes, and the state each term reads."""
 
     @staticmethod
-    def plan(k):
+    def plan(mults):
         layers = []
 
-        def extend(below, src, mul, starts):
-            layers.append((len(below), src, mul, starts))
-            return [None] * (2 * len(starts))  # each mask's chain, then its closed total
+        def extend(below, src, mul, weight, starts):
+            layers.append((len(below[0]), src, mul, weight, starts))
+            return [None] * len(starts), None
 
-        _permutation_sum(k, [None], extend)
+        _permutation_sum(mults, ([None], None), extend)
         return layers
+
+    @classmethod
+    def states(cls, mults):
+        """Each layer's content vectors, rebuilt from the plan's reads, each read checked on the way."""
+        states = [[(0,) * len(mults)]]
+        for below, src, mul, weight, starts in cls.plan(mults):
+            assert below == len(states[-1])
+            assert len(src) == len(mul) == len(weight) and starts[0] == 0 and starts == sorted(set(starts))
+            layer = []
+            for lo, hi in zip(starts, starts[1:] + [len(src)]):
+                c = list(states[-1][src[lo]])
+                c[mul[lo]] += 1
+                assert mul[lo:hi] == sorted(set(mul[lo:hi]))  # by colour, the least first
+                for t in range(lo, hi):  # each term reads c - e_i and carries the weight c_i
+                    read = list(c)
+                    read[mul[t]] -= 1
+                    assert states[-1][src[t]] == tuple(read) and weight[t] == c[mul[t]]
+                layer.append(tuple(c))
+            states.append(layer)
+        return states
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_layer_sizes_and_reads(self, k):
-        layers = self.plan(k)
-        sizes = [len(starts) for _, _, _, starts in layers]
-        assert sizes == [comb(k - 1, size - 1) for size in range(1, k + 1)]
-        assert sum(sizes) == 2 ** (k - 1)
-        assert max(sizes) == comb(k - 1, (k - 1) // 2)
-        steps = 0
-        for below, src, mul, starts in layers:
-            assert len(src) == len(mul) and starts[0] == 0 and starts == sorted(set(starts))
-            assert all(0 <= t < below for t in src) and all(0 <= j < k for j in mul)
-            steps += sum(t < below // 2 for t in src)  # the layer below's chains come before its closed totals
-        assert steps == 2 ** (k - 1) * (k - 1) // 2
+        for mults in _partitions(k):
+            *states, last = self.states(mults)
+            top = (mults[0] - 1, *mults[1:])
+            below_top = list(itertools.product(*(range(m + 1) for m in top)))
+            assert last == [mults] and len(states) == k
+            assert sorted(c for layer in states for c in layer) == below_top  # each c <= m - e_0 once
+            assert all(sum(c) == size for size, layer in enumerate(states) for c in layer)
+            assert len(below_top) == prod(m + 1 for m in mults) * mults[0] // (mults[0] + 1)
+            steps = sum(len(src) for _, src, _, _, _ in self.plan(mults))
+            assert steps == sum(sum(map(bool, c)) for c in below_top) + 1  # one per colour present, and m's
+        distinct = self.states((1,) * k)[:-1]
+        assert sum(map(len, distinct)) == 2 ** (k - 1)
+        assert max(map(len, distinct)) == comb(k - 1, (k - 1) // 2)
+        assert sum(len(src) for _, src, _, _, _ in self.plan((1,) * k)) == (k - 1) * 2**k // 4 + 1
+        assert sum(len(src) for _, src, _, _, _ in self.plan((k,))) == k
 
     def test_moment_traces_peak_matrices(self):
-        # while moment_traces builds a layer it holds the layer below and, per term, the gather, C_j and the product
-        peaks = [max(below + 3 * len(src) for below, src, _, _ in self.plan(k)) for k in range(1, 13)]
-        assert peaks == [4, 8, 16, 33, 66, 140, 280, 595, 1190, 2520, 5040, 10626]
+        # while moment_traces builds a layer it holds the layer below and, per term, the gather, C_i and the product
+        peaks = [max(below + 3 * len(src) for below, src, _, _, _ in self.plan((1,) * k)) for k in range(1, 13)]
+        assert peaks == [4, 4, 8, 21, 42, 100, 200, 455, 910, 2016, 4032, 8778]
 
     def test_first_layers(self):
-        # {0} opens a cycle from the empty set; {0,1} steps to 1 from {0} or opens at 1, {0,2} only steps
-        (empty, src, mul, starts), (one, src2, mul2, starts2) = self.plan(3)[:2]
-        assert (empty, src, mul, starts) == (1, [0], [0], [0])
-        assert (one, src2, mul2, starts2) == (2, [0, 1, 0], [1, 1, 2], [0, 2])
+        # m = (1, 1, 2): {e_1, e_2} open layer 1 from c = 0; e_1 + e_2 reads both, 2 e_2 reads e_2 with weight 2
+        (empty, src, mul, weight, starts), (one, src2, mul2, weight2, starts2) = self.plan((1, 1, 2))[:2]
+        assert (empty, src, mul, weight, starts) == (1, [0, 0], [1, 2], [1, 1], [0, 1])
+        assert (one, src2, mul2, weight2, starts2) == (2, [1, 0, 1], [1, 2, 2], [1, 1, 2], [0, 2])
 
 
 class TestLayerPlanCache:
-    """``_layer_plan`` is built once per K, and no engine writes to the lists it keeps."""
+    """``_layer_plan`` is built once per multiplicity partition, and no engine writes to the lists it keeps."""
 
     def test_one_build_per_k(self):
         _layer_plan.cache_clear()
-        for pairs in (((1, 1),) * 5, ((1, 2), (2, 1), (1, 1), (2, 2), (1, 1)), ((2, 1), (1, 2)) * 2 + ((2, 2),)):
-            entry_moment(EntryMomentSpec(2, pairs))
+        for n, pairs in ((2, ((1, 2), (2, 1), (2, 1), (1, 2), (1, 1))), (2, ((2, 1), (1, 2), (1, 2), (2, 1), (2, 2))),
+                         (3, ((1, 1), (2, 2), (1, 1), (2, 2), (3, 3)))):
+            entry_moment(EntryMomentSpec(n, pairs))  # each has multiplicities (1, 2, 2)
         rng = np.random.default_rng(7)
         for n in (1, 3):
-            moment_traces([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(5)])
+            a, b, c = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3))
+            moment_traces([a, b, a, c, b])
         info = _layer_plan.cache_info()
-        assert (info.misses, info.hits, info.currsize, info.maxsize) == (1, 4, 1, 8)
+        assert (info.misses, info.hits, info.currsize, info.maxsize) == (1, 4, 1, 66)
+        assert sum(map(len, map(_partitions, range(1, 9)))) == info.maxsize  # every partition of K <= 8 stays
 
     def test_engines_leave_the_cached_plans_as_built(self):
         rng = np.random.default_rng(11)
         for k in range(1, 9):
             rows = rng.integers(1, 4, size=k)
             entry_moment(EntryMomentSpec(3, tuple(zip(rows.tolist(), rng.permutation(rows).tolist()))))
-            moment_traces([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(k)])
+            entry_moment(EntryMomentSpec(2, ((1, 1),) * k))
+            pool = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+            moment_traces([pool[c] for c in rng.integers(0, 3, size=k)])
             moment_traces([rng.integers(-2, 3, size=(3, 3)) for _ in range(k)])
-        used = [_layer_plan(k) for k in range(1, 9)]
+        keys = [p for k in range(1, 9) for p in _partitions(k)]
+        used = [_layer_plan(key) for key in keys]
         _layer_plan.cache_clear()
-        fresh = [_layer_plan(k) for k in range(1, 9)]
+        fresh = [_layer_plan(key) for key in keys]
         assert all(a is not b for a, b in zip(used, fresh))
         assert used == fresh
         assert all(type(part) is list for plan in fresh for layer in plan for part in layer)
