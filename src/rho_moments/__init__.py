@@ -12,7 +12,6 @@ from .classical import (
     SimplexMomentSpec,
     beta_function,
     dirichlet_moment,
-    sample_simplex,
     simplex_moment,
 )
 from .combinat import (
@@ -52,11 +51,9 @@ __version__ = "0.1.0"
 
 _MONTECARLO_NAMES = {
     "EstimateReport",
-    "estimate_entry_moment",
     "estimate_lambda_min_law",
     "estimate_mgf",
     "estimate_purity",
-    "sample_density",
 }
 
 __all__ = [
@@ -78,7 +75,6 @@ __all__ = [
     "simplex_moment",
     "dirichlet_moment",
     "beta_function",
-    "sample_simplex",
     "ScaledRational",
     "EntryMomentSpec",
     "TraceProductExpr",
@@ -92,8 +88,6 @@ __all__ = [
     "entry_moment",
     "purity_mean",
     "EstimateReport",
-    "sample_density",
-    "estimate_entry_moment",
     "estimate_purity",
     "estimate_mgf",
     "estimate_lambda_min_law",

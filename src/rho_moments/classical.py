@@ -25,7 +25,6 @@ __all__ = [
     "simplex_moment",
     "dirichlet_moment",
     "beta_function",
-    "sample_simplex",
     "sample_simplex_batch",
 ]
 
@@ -114,11 +113,6 @@ def beta_function(m: int, n: int) -> Fraction:
     return Fraction(
         bounded_factorial(m - 1) * bounded_factorial(n - 1), bounded_factorial(m + n - 1)
     )
-
-
-def sample_simplex(n_components: int, rng: numpy.random.Generator) -> numpy.ndarray:
-    """One point uniform on the simplex {x >= 0, sum(x) = 1}."""
-    return sample_simplex_batch(n_components, 1, rng)[0]
 
 
 def sample_simplex_batch(n_components: int, count: int, rng: numpy.random.Generator) -> numpy.ndarray:

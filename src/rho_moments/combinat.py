@@ -110,16 +110,6 @@ class CycleType:
         cycle_type._counts = counts
         return cycle_type
 
-    @classmethod
-    def from_cycle_lengths(cls, lengths: Iterable[int]) -> "CycleType":
-        lengths = list(lengths)
-        counts = [0] * max(lengths, default=0)
-        for r in lengths:
-            if r < 1:
-                raise ValueError(f"cycle length must be positive, got {r}")
-            counts[r - 1] += 1
-        return cls(counts)
-
     @property
     def counts(self) -> tuple[int, ...]:
         return self._counts + (0,) * (self.boxes() - len(self._counts))

@@ -35,14 +35,14 @@ import numpy as np
 
 from . import classical, quantum
 from .classical import MIN_SAMPLES, DirichletSpec, SimplexMomentSpec, _redraw_underflowed, sample_simplex_batch
+from .combinat import MAX_FACTORIAL_ARG
+from .errors import CapExceededError
 from .quantum import EntryMomentSpec, mgf_coefficient
 
 __all__ = [
     "MIN_SAMPLES",
     "EstimateReport",
-    "sample_density",
     "sample_density_batch",
-    "estimate_entry_moment",
     "estimate_entry_moments",
     "estimate_purity",
     "estimate_mgf",
@@ -189,11 +189,6 @@ def sample_density_batch(n: int, count: int, rng: np.random.Generator) -> np.nda
     return gram
 
 
-def sample_density(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One n x n density matrix from the flat ensemble."""
-    return sample_density_batch(n, 1, rng)[0]
-
-
 def _entry_reports(
     specs: Sequence[EntryMomentSpec], exact: Sequence[complex], samples: int, seed: int, workers: int
 ) -> list[EstimateReport]:
@@ -230,13 +225,6 @@ def estimate_entry_moments(
 ) -> list[EstimateReport]:
     """Estimate several entry moments from one shared sample stream."""
     return _entry_reports(specs, [quantum.entry_moment(s) for s in specs], samples, seed, workers)
-
-
-def estimate_entry_moment(
-    spec: EntryMomentSpec, samples: int, seed: int, *, workers: int = 1
-) -> EstimateReport:
-    """Sample mean of prod_p rho[i_p, j_p] against the exact engine value."""
-    return estimate_entry_moments([spec], samples, seed, workers=workers)[0]
 
 
 def estimate_purity(n: int, samples: int, seed: int, *, workers: int = 1) -> EstimateReport:
@@ -316,7 +304,11 @@ def estimate_dirichlet_moment(
     Points uniform on the solid simplex are the leading N_B coordinates of
     points uniform on the (N_B+1)-component boundary simplex; the region
     volume scale^N_B / N_B! converts the sample mean into the integral.
+    Each power is a product of its factors, so a weight power above
+    ``MAX_FACTORIAL_ARG`` is refused with ``CapExceededError`` before any draw.
     """
+    if spec.weight_power > MAX_FACTORIAL_ARG:
+        raise CapExceededError(f"weight power {spec.weight_power} is above the Monte Carlo limit {MAX_FACTORIAL_ARG}")
     n_big = len(spec.exponents)
     exact, lam, volume = _float_targets(classical.dirichlet_moment(spec), spec.scale, n_big, n_big)
 

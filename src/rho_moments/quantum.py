@@ -12,9 +12,8 @@ products over permutations, and is cross-checked against the K = 1, 2 closed
 forms, the K <= 4 weighted-character table, and Monte Carlo sampling. The
 permutation sum groups equal observables, each distinct one a colour of
 multiplicity m_i: it is m! [x^m] det(I - sum_i x_i C_i)^(-N), by a recurrence
-over the content vectors c <= m, one chain step per colour present in each,
-layer by layer in |c|, two layers resident; with no repeats that is
-(K-1) 2^(K-2) + 1 steps, and one observable repeated K times takes K.
+over the content vectors c <= m, layer by layer in |c|, whose cost is given in
+``_permutation_sum`` and whose index plans in ``_layer_plan``.
 ``omega_expand`` lists canonical cycle words by construction, each cycle
 opening at the least index not yet used, and checks only their count.
 All user-facing moments are normalized by the ensemble volume,
@@ -54,18 +53,11 @@ __all__ = [
     "purity_mean",
 ]
 
-# Largest K accepted per call: the permutation sums cost one chain step per
-# colour present in each content vector c <= m - e_0 of the multiplicities m,
-# at most (K-1) 2^(K-2) + 1 when no input repeats, layer by layer in |c|, two
-# layers resident (at most C(K-1, (K-1)//2) states each). ``moment_traces``
-# also holds three N x N matrices per term of the layer it builds (455 in all
-# at K = 8 distinct). Both read one index plan per multiplicity tuple, built
-# once and cached for every partition of K <= 8 (0.25 MB in all; 0.37 MB for
-# K = 12 distinct and 8.3 MB for K = 16, holding no input or result);
-# ``omega_expand`` lists the K!/z_mu distinct cycle words of its class, each
-# block of a set partition of 1..K opening at the least unused index.
-# Overridable per call. A refusal comes before any count; it names K!/z_mu only
-# while K! < 2^63.
+# Largest K accepted per call. The permutation sums' chain steps and peak
+# memory are given in ``_permutation_sum``, their cached plans' sizes in
+# ``_layer_plan``; ``omega_expand`` lists the K!/z_mu distinct cycle words of
+# its class. Overridable per call. A refusal comes before any count; it names
+# K!/z_mu only while K! < 2^63.
 DEFAULT_BOX_CAP = 8
 PERMUTATION_SUM_COST = "the permutation sum costs up to (K-1)*2^(K-2)+1 chain steps, fewer when inputs repeat"
 
@@ -425,8 +417,10 @@ def _permutation_sum(mults: tuple[int, ...], empty, extend: Callable):
     present in each, and one step for m: 2^(K-1) states and (K-1) 2^(K-2) + 1
     steps when no observable repeats, K of each for one repeated K times. Every
     read comes from the layer |c| - 1, so the sum goes layer by layer, two
-    layers resident. The weights c_i are small integers, so integer inputs
-    keep an integer sum, with no division.
+    layers resident, at most C(K-1, (K-1)//2) states each. ``moment_traces``
+    holds 3 T + S N x N matrices while it builds a layer of T terms from the
+    S states below: 455 at K = 8 with no repeats. The weights c_i are small
+    integers, so integer inputs keep an integer sum, with no division.
 
     A layer is a pair: its states' F~ and their R~ as the engine keeps it;
     ``empty`` is layer 0, c = 0, with F~ = 1 and R~ = I. ``extend(below,
@@ -466,9 +460,8 @@ def moment_traces(
     ``entry_moment``, a layer keeps F~ and R~ - F~ I, so each step is one
     gather and one ``einsum`` (not BLAS, whose bits depend on the build and
     CPU) plus F~ C_i; F~ is n times the trace of each state's first product,
-    and the products, weighted when a colour repeats, are summed per state by
-    ``reduceat``. Building a layer from its T terms holds 3 T + S N x N
-    matrices, S the states of the layer below: 455 at K = 8 distinct.
+    and the products, each weighted by its c_i, are summed per state by
+    ``reduceat``; its peak memory is given in ``_permutation_sum``.
     No chain overflows: each C_j is scaled by 2^-e_j, its largest |Re| or |Im| then in [1/2, 1)
     (or 2^1021 up at most). Each part x of the total is rounded once from the exact
     x * 2^(sum e_j) * (N^2-1)!/(K+N^2-1)!, so the moment is exact wherever the total
@@ -484,7 +477,6 @@ def moment_traces(
     keys = [c.tobytes() for c in mats]
     colours, mults = _colours(keys)
     mats = mats[[keys.index(c) for c in colours]]  # each colour's first observable
-    repeated = mults[-1] > 1  # else every weight is 1
 
     def extend(below, src, mul, weight, starts):
         fs, parts = below
@@ -492,8 +484,7 @@ def moment_traces(
         prods = np.einsum("tik,tkl->til", parts[src], steps)
         prods += np.einsum("t,tkl->tkl", fs[src], steps)  # F~ C_i, by einsum: * rounds complex products differently
         f = n * np.einsum("tii->t", prods).take(starts)
-        if repeated:
-            prods *= np.array(weight, float)[:, None, None]
+        prods *= np.array(weight, float)[:, None, None]
         return f, np.add.reduceat(prods, starts)
 
     total = complex(_permutation_sum(mults, (np.ones(1), np.zeros((1, n, n), complex)), extend)[0][0])

@@ -91,7 +91,7 @@ def dim_char_sum_oracle(k, n):
 def enumerate_cycle_types_oracle(k):
     """The classes of S_K by sorting the partitions of K as weakly increasing cycle-length tuples."""
     lengths = sorted(tuple(sorted(p.parts)) for p in enumerate_partitions(k, max(k, 1)))
-    return [CycleType.from_cycle_lengths(t) for t in lengths]
+    return [CycleType([t.count(r) for r in range(1, max(t, default=0) + 1)]) for t in lengths]
 
 
 def dim_char_sum_formula(k, n):

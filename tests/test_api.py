@@ -30,7 +30,6 @@ PUBLIC_NAMES = {
     "simplex_moment",
     "dirichlet_moment",
     "beta_function",
-    "sample_simplex",
     "ScaledRational",
     "EntryMomentSpec",
     "TraceProductExpr",
@@ -44,8 +43,6 @@ PUBLIC_NAMES = {
     "entry_moment",
     "purity_mean",
     "EstimateReport",
-    "sample_density",
-    "estimate_entry_moment",
     "estimate_purity",
     "estimate_mgf",
     "estimate_lambda_min_law",
@@ -62,6 +59,12 @@ def test_package_exports_are_pinned():
     exec("from rho_moments import *", namespace)
     assert set(namespace) >= PUBLIC_NAMES
     assert namespace["estimate_purity"] is rho_moments.montecarlo.estimate_purity
+
+
+@pytest.mark.parametrize("name", ["sample_density", "estimate_entry_moment"])
+def test_removed_monte_carlo_names_do_not_resolve(name):
+    with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+        getattr(rho_moments, name)
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(rho_moments.__path__)])

@@ -12,7 +12,6 @@ from rho_moments.classical import (
     SimplexMomentSpec,
     beta_function,
     dirichlet_moment,
-    sample_simplex,
     sample_simplex_batch,
     simplex_moment,
 )
@@ -135,7 +134,7 @@ class TestBetaFunction:
 class TestSampleSimplex:
     def test_point_simplex_is_constant(self):
         rng = np.random.default_rng(0)
-        assert sample_simplex(1, rng).tolist() == [1.0]
+        assert sample_simplex_batch(1, 1, rng)[0].tolist() == [1.0]
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)

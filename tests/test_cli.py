@@ -178,6 +178,14 @@ class TestSimplexCommand:
         result = runner.invoke(main, ["simplex", "--nu", "1", "--f-power", "2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("power, code", [(10001, 1), (10000, 0)])
+    def test_monte_carlo_weight_power_is_bounded(self, runner, power, code):
+        argv = ["simplex", "--nu", "0", "--dirichlet", "--f-power", str(power), "--mc", "100", "1"]
+        result = runner.invoke(main, argv, catch_exceptions=False)
+        assert result.exit_code == code, result.output
+        if code:
+            assert result.output == "Error: weight power 10001 is above the Monte Carlo limit 10000\n"
+
     def test_malformed_rational_is_usage_error(self, runner):
         result = runner.invoke(main, ["simplex", "--nu", "1", "--lambda", "a/b"])
         assert result.exit_code == 2

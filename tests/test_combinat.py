@@ -71,9 +71,6 @@ class TestCycleType:
         assert c.cycles() == 3
         assert c.cycle_lengths() == (1, 1, 2)
 
-    def test_from_cycle_lengths(self):
-        assert CycleType.from_cycle_lengths((2, 1, 1)) == CycleType((2, 1))
-
     def test_label(self):
         assert CycleType((2, 1)).label() == "1^2,2"
         assert CycleType((0, 0, 1)).label() == "3"
@@ -108,7 +105,7 @@ class TestEnumeration:
 
     def test_cycle_types_k0_is_the_empty_class(self):
         (empty,) = enumerate_cycle_types(0)
-        assert empty == CycleType(()) == CycleType.from_cycle_lengths(())
+        assert empty == CycleType(())
         assert (class_order(empty), empty.cycles(), empty.boxes()) == (1, 0, 0)
 
     def test_cycle_types_negative_k_rejected(self):
@@ -203,13 +200,12 @@ class TestExactBudget:
     "call, message",
     [
         (lambda: CycleType((1, -1)), "negative multiplicity in cycle type (1, -1)"),
-        (lambda: CycleType.from_cycle_lengths((0,)), "cycle length must be positive, got 0"),
         (lambda: enumerate_partitions(-1, 1), "k must be non-negative"),
         (lambda: enumerate_partitions(2, 0), "max_rows must be positive"),
         (lambda: super_factorial(-1), "n must be non-negative"),
         (lambda: lower_triangle_count(0), "n must be positive"),
     ],
-    ids=["cycle-type", "cycle-length", "partitions-k", "partitions-rows", "super-factorial", "lower-triangle"],
+    ids=["cycle-type", "partitions-k", "partitions-rows", "super-factorial", "lower-triangle"],
 )
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -14,17 +14,17 @@ from rho_moments import montecarlo, verify
 from rho_moments.montecarlo import (
     MIN_SAMPLES,
     estimate_dirichlet_moment,
-    estimate_entry_moment,
     estimate_entry_moments,
     estimate_lambda_min_law,
     estimate_mgf,
     estimate_purity,
     estimate_simplex_moment,
     lambda_min_law,
-    sample_density,
     sample_density_batch,
 )
 from rho_moments.classical import SimplexMomentSpec, DirichletSpec
+from rho_moments.combinat import MAX_FACTORIAL_ARG
+from rho_moments.errors import CapExceededError
 from rho_moments.quantum import EntryMomentSpec, mgf_coefficient
 
 
@@ -49,7 +49,7 @@ def haar_like_unitary(n, rng):
 class TestSampleDensity:
     def test_single_point_ensemble(self):
         rng = np.random.default_rng(0)
-        rho = sample_density(1, rng)
+        rho = sample_density_batch(1, 1, rng)[0]
         assert rho.shape == (1, 1)
         assert rho[0, 0] == pytest.approx(1.0)
 
@@ -158,7 +158,7 @@ print(hashlib.sha256(_positive_definite(1 / 54, sample_density_batch(3, 1000, np
 a = np.array([[0.2, 0.1 - 0.3j], [0.1 + 0.3j, -0.4]])
 for seed in (1, 2, 3, 4):
     for report in [
-        estimate_entry_moment(Spec(2, ((1, 1),)), 65537, seed),
+        *estimate_entry_moments([Spec(2, ((1, 1),))], 65537, seed),
         *estimate_entry_moments([Spec(2, ((1, 2), (2, 1))), Spec(2, ((1, 2), (2, 2), (2, 1)))], 65537, seed),
         estimate_purity(3, 65537, seed),
         estimate_mgf(a, 6, 65537, seed),
@@ -193,7 +193,7 @@ def test_report_bits_do_not_depend_on_blas_or_simd_dispatch(setting, capsys):
 @pytest.mark.parametrize(
     "estimate",
     [
-        lambda m: estimate_entry_moment(EntryMomentSpec(2, ((1, 1),)), m, seed=1),
+        lambda m: estimate_entry_moments([EntryMomentSpec(2, ((1, 1),))], m, seed=1)[0],
         lambda m: estimate_entry_moments([EntryMomentSpec(2, ((1, 2), (2, 1)))], m, seed=1)[0],
         lambda m: estimate_purity(2, m, seed=1),
         lambda m: estimate_mgf(np.diag([0.1, -0.1]), 6, m, seed=1),
@@ -249,14 +249,14 @@ def test_no_entry_specs_give_no_reports():
 class TestEstimatorDeterminism:
     def test_single_thread_bit_identical(self):
         spec = EntryMomentSpec(2, ((1, 2), (2, 1)))
-        first = estimate_entry_moment(spec, 20_000, seed=5)
-        second = estimate_entry_moment(spec, 20_000, seed=5)
+        first = estimate_entry_moments([spec], 20_000, seed=5)
+        second = estimate_entry_moments([spec], 20_000, seed=5)
         assert first == second
 
     def test_two_workers_bit_identical(self):
         spec = EntryMomentSpec(2, ((1, 1),))
-        a = estimate_entry_moment(spec, 20_000, seed=5, workers=2)
-        b = estimate_entry_moment(spec, 20_000, seed=5, workers=2)
+        a = estimate_entry_moments([spec], 20_000, seed=5, workers=2)
+        b = estimate_entry_moments([spec], 20_000, seed=5, workers=2)
         assert a == b
 
     def test_simplex_estimator_deterministic(self):
@@ -268,7 +268,7 @@ class TestEstimatorDeterminism:
 
 # Every public estimator as reports(samples, workers).
 WORKER_ESTIMATORS = {
-    "entry": lambda m, w: [estimate_entry_moment(EntryMomentSpec(2, ((1, 1),)), m, 1, workers=w)],
+    "entry": lambda m, w: estimate_entry_moments([EntryMomentSpec(2, ((1, 1),))], m, 1, workers=w),
     "entries": lambda m, w: estimate_entry_moments(
         [EntryMomentSpec(2, ((1, 2), (2, 1))), EntryMomentSpec(2, ((1, 1), (1, 1)))], m, 1, workers=w
     ),
@@ -316,8 +316,8 @@ class TestSeedAloneFixesReports:
         if cpus is not None:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         spec = EntryMomentSpec(2, ((1, 2), (2, 1)))
-        one = estimate_entry_moment(spec, 200_000, seed=3, workers=1)
-        many = estimate_entry_moment(spec, 200_000, seed=3, workers=1000)
+        one = estimate_entry_moments([spec], 200_000, seed=3, workers=1)
+        many = estimate_entry_moments([spec], 200_000, seed=3, workers=1000)
         # 200000 samples of a 2 x 2 matrix are 13 chunks of at most 2**16 / 4
         assert sizes == [1, min(os.cpu_count() or 1, 13)]
         assert many == one
@@ -340,14 +340,12 @@ class TestSeedAloneFixesReports:
 
 class TestEstimateEntryMoment:
     def test_offdiagonal_golden(self):
-        report = estimate_entry_moment(
-            EntryMomentSpec(2, ((1, 2), (2, 1))), 500_000, seed=21
-        )
+        (report,) = estimate_entry_moments([EntryMomentSpec(2, ((1, 2), (2, 1)))], 500_000, seed=21)
         assert report.exact_value == pytest.approx(0.1)
         assert report.z_score <= 4.0
 
     def test_diagonal_third(self):
-        report = estimate_entry_moment(EntryMomentSpec(3, ((1, 1),)), 200_000, seed=22)
+        (report,) = estimate_entry_moments([EntryMomentSpec(3, ((1, 1),))], 200_000, seed=22)
         assert report.exact_value == pytest.approx(1 / 3)
         assert report.z_score <= 4.0
 
@@ -423,6 +421,17 @@ class TestSimplexEstimators:
             DirichletSpec((1, 0), weight_power=2), 200_000, seed=51
         )
         assert report.z_score <= 4.0
+
+    def test_weight_power_past_the_limit_is_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(montecarlo, "sample_simplex_batch", no_draw)
+        limit = MAX_FACTORIAL_ARG
+        with pytest.raises(CapExceededError, match=f"weight power {limit + 1} is above the Monte Carlo limit {limit}"):
+            estimate_dirichlet_moment(DirichletSpec((0,), 1, limit + 1), MIN_SAMPLES, seed=1)
+        with pytest.raises(AssertionError, match="drew samples"):  # the limit itself is drawn
+            estimate_dirichlet_moment(DirichletSpec((0,), 1, limit), MIN_SAMPLES, seed=1)
 
     def test_point_simplex_zero_variance(self):
         report = estimate_simplex_moment(SimplexMomentSpec((3,)), 1_000, seed=52)
