@@ -2,10 +2,11 @@
 
 Symmetric-group characters come from the Murnaghan-Nakayama border-strip
 recursion, memoized on (shape, remaining cycles). U(N) characters are carried
-as exact polynomials in the trace power sums t_r = tr(A^r): evaluated at the
-power sums of a matrix (``quantum.eval_power_sums``) they give the character
-there, with no singularity at coinciding eigenvalues. The paper's other form,
-Weyl's determinant ratio over the eigenvalues, is a test oracle.
+as exact polynomials in the trace power sums t_r = tr(A^r): the sum over the
+terms of coefficient * prod_r t_r^e_r at the power sums of a matrix
+(``quantum.eval_power_sums``) is the character there, with no singularity at
+coinciding eigenvalues. The paper's other form, Weyl's determinant ratio over
+the eigenvalues, is a test oracle.
 
 The dimension-weighted character sum needs no characters: s_lambda(1^N) = 0
 for shapes with more than N rows, so the Cauchy identity gives
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from .combinat import CycleType, Partition, _without_trailing_zeros, enumerate_cycle_types
 
@@ -36,63 +37,29 @@ class PowerSumPoly:
     """Exact-rational polynomial in the power sums t_1, t_2, ...
 
     Monomials are keyed by exponent tuples with trailing zeros stripped:
-    ``(2,)`` is t1^2 and ``(1, 0, 1)`` is t1*t3. Zero coefficients are never
-    stored. Instances are treated as immutable.
+    ``(2,)`` is t1^2 and ``(1, 0, 1)`` is t1*t3. Only ``unitary_char_poly``
+    and ``dim_char_sum`` build one, and the constructor stores their terms as
+    given: nonzero Fractions, keyed without trailing zeros. Instances are
+    treated as immutable.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for key, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[_without_trailing_zeros(int(e) for e in key)] = coeff
-        self._terms = clean
-
-    @classmethod
-    def _checked(cls, terms: dict[tuple[int, ...], Fraction]) -> PowerSumPoly:
-        """Wrap nonzero Fraction ``terms``, keyed without trailing zeros, that the caller has already checked."""
-        poly = cls.__new__(cls)
-        poly._terms = terms
-        return poly
+    def __init__(self, terms: dict[tuple[int, ...], Fraction]):
+        self._terms = terms
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self._terms)
 
     def coefficient(self, exponents: Iterable[int]) -> Fraction:
+        """The coefficient of t^exponents; trailing zeros, as in a padded ``CycleType.counts``, are ignored."""
         return self._terms.get(_without_trailing_zeros(exponents), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PowerSumPoly):
             return self._terms == other._terms
         return NotImplemented
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def max_power_index(self) -> int:
-        """Largest r such that t_r appears (0 for a constant)."""
-        return max((len(k) for k in self._terms), default=0)
-
-    def evaluate(self, power_sums: Sequence):
-        """Evaluate with power_sums[r-1] supplying t_r.
-
-        Exact when the inputs are Fractions/ints, complex otherwise.
-        """
-        if self.max_power_index() > len(power_sums):
-            raise ValueError(
-                f"need t_1..t_{self.max_power_index()}, got {len(power_sums)} values"
-            )
-        total = Fraction(0)
-        for key, coeff in self._terms.items():
-            value = coeff
-            for r, e in enumerate(key, start=1):
-                if e:
-                    value = value * power_sums[r - 1] ** e
-            total = total + value
-        return total
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -161,7 +128,7 @@ def unitary_char_poly(irrep: Partition) -> PowerSumPoly:
         coeff = Fraction(sym_character(irrep, cls), cls.centralizer_order())
         if coeff:
             terms[cls._counts] = coeff
-    return PowerSumPoly._checked(terms)
+    return PowerSumPoly(terms)
 
 
 def weyl_dim(irrep: Partition, n: int) -> int:
@@ -199,6 +166,6 @@ def dim_char_sum(k: int, n: int) -> PowerSumPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return PowerSumPoly._checked(
+    return PowerSumPoly(
         {c._counts: Fraction(n ** c.cycles(), c.centralizer_order()) for c in enumerate_cycle_types(k)}
     )

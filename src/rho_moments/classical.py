@@ -12,6 +12,7 @@ so this module imports no numpy and the exact commands never load it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -33,7 +34,7 @@ MIN_SAMPLES = 100
 
 
 def _as_exponents(exponents) -> tuple[int, ...]:
-    out = tuple(int(e) for e in exponents)
+    out = tuple(map(operator.index, exponents))
     if not out:
         raise ValueError("at least one exponent is required")
     if any(e < 0 for e in out):
@@ -75,9 +76,10 @@ class DirichletSpec:
     def __post_init__(self):
         object.__setattr__(self, "exponents", _as_exponents(self.exponents))
         object.__setattr__(self, "scale", _as_scale(self.scale))
-        if int(self.weight_power) < 0:
+        weight_power = operator.index(self.weight_power)
+        if weight_power < 0:
             raise ValueError("weight_power must be a non-negative integer")
-        object.__setattr__(self, "weight_power", int(self.weight_power))
+        object.__setattr__(self, "weight_power", weight_power)
 
     def degree(self) -> int:
         """nu for the extended exponent list (nu_B..., 0): sum(nu_B) + N_B."""

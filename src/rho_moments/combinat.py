@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lgamma, log, prod
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError
@@ -48,7 +49,7 @@ class Partition:
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        clean = _without_trailing_zeros(int(p) for p in parts)
+        clean = _without_trailing_zeros(map(index, parts))
         if clean and clean[-1] < 0:
             raise ValueError(f"negative part in partition {clean}")
         for a, b in zip(clean, clean[1:]):
@@ -64,9 +65,6 @@ class Partition:
         """Total number of boxes (the K of a K-box shape)."""
         return sum(self._parts)
 
-    def rows(self) -> int:
-        return len(self._parts)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Partition):
             return self._parts == other._parts
@@ -74,12 +72,6 @@ class Partition:
 
     def __hash__(self) -> int:
         return hash(self._parts)
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
 
     def __repr__(self) -> str:
         return f"Partition({list(self._parts)})"
@@ -98,7 +90,7 @@ class CycleType:
     __slots__ = ("_counts",)
 
     def __init__(self, counts: Iterable[int]):
-        clean = _without_trailing_zeros(int(c) for c in counts)
+        clean = _without_trailing_zeros(map(index, counts))
         if any(c < 0 for c in clean):
             raise ValueError(f"negative multiplicity in cycle type {clean}")
         self._counts = clean

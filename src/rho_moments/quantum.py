@@ -27,6 +27,7 @@ inside the functions taking numeric matrices, so exact engines run without it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -71,8 +72,8 @@ class ScaledRational:
 
     def __post_init__(self):
         object.__setattr__(self, "rational", Fraction(self.rational))
-        exponent = int(self.twopi_exponent) if self.rational else 0
-        object.__setattr__(self, "twopi_exponent", exponent)
+        exponent = operator.index(self.twopi_exponent)
+        object.__setattr__(self, "twopi_exponent", exponent if self.rational else 0)
 
     def __mul__(self, other):
         if isinstance(other, ScaledRational):
@@ -100,10 +101,10 @@ class EntryMomentSpec:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = int(self.dimension)
+        n = operator.index(self.dimension)
         if n < 1:
             raise ValueError("dimension must be positive")
-        pairs = tuple((int(i), int(j)) for i, j in self.pairs)
+        pairs = tuple((operator.index(i), operator.index(j)) for i, j in self.pairs)
         if not pairs:
             raise ValueError("at least one index pair is required")
         for i, j in pairs:
@@ -116,46 +117,21 @@ class EntryMomentSpec:
         return len(self.pairs)
 
 
-def _check_canonical(term: tuple[tuple[int, ...], ...], order: int) -> None:
-    """Refuse a term unless it covers 1..order once in sorted cycles, each led by its minimum."""
-    if sorted(i for cycle in term for i in cycle) != list(range(1, order + 1)):
-        raise ValueError(f"term {term} does not cover indices 1..{order}")
-    if any(not cycle or cycle[0] != min(cycle) for cycle in term) or list(term) != sorted(term):
-        raise ValueError(f"term {term} is not canonical: sorted cycles, each led by its minimum")
-
-
 class TraceProductExpr:
     """Formal sum of coefficient * products of trace factors.
 
     Each term is a tuple of cycles, each cycle an ordered tuple of 1-based
     observable indices led by its smallest index; the cycles of a term are
-    sorted, and every index 1..K appears once. The constructor checks every
-    term a caller supplies for this form and drops zero coefficients;
-    ``omega_expand`` builds its words in this form, each cycle opening at the
-    least index not yet used, and hands them over unchecked.
+    sorted, and every index 1..K appears once. Only ``omega_expand`` builds
+    one: it lists its words in this form, each cycle opening at the least
+    index not yet used, with nonzero coefficients, and the constructor stores
+    them as given.
     """
 
     __slots__ = ("_order", "_terms")
 
-    def __init__(self, order: int, terms: dict[tuple[tuple[int, ...], ...], Fraction] | None = None):
-        self._order = int(order)
-        self._terms: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-        for term, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                _check_canonical(term, self._order)
-                self._terms[term] = coeff
-
-    @classmethod
-    def _checked(cls, order: int, terms: dict[tuple[tuple[int, ...], ...], Fraction]) -> TraceProductExpr:
-        """Wrap nonzero canonical ``terms`` that the caller has already checked."""
-        expr = cls.__new__(cls)
-        expr._order, expr._terms = order, terms
-        return expr
-
-    @property
-    def order(self) -> int:
-        return self._order
+    def __init__(self, order: int, terms: dict[tuple[tuple[int, ...], ...], Fraction]):
+        self._order, self._terms = order, terms
 
     @property
     def terms(self) -> dict[tuple[tuple[int, ...], ...], Fraction]:
@@ -200,7 +176,7 @@ def hs_volume(n: int) -> ScaledRational:
 
 
 def _check_beta(beta: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(b) for b in beta)
+    out = tuple(map(operator.index, beta))
     if not out:
         raise ValueError("beta must be non-empty")
     if any(b < 0 for b in out):
@@ -340,7 +316,7 @@ def omega_expand(monomial: CycleType, k: int, *, max_boxes: int = DEFAULT_BOX_CA
     terms = dict.fromkeys(listed, Fraction(monomial.centralizer_order()))
     if len(terms) != count:
         raise ValueError(f"listed {len(terms)} distinct cycle words, not K!/z_mu = {count}")
-    return TraceProductExpr._checked(k, terms)
+    return TraceProductExpr(k, terms)
 
 
 def _validated_observables(observables: Sequence[numpy.ndarray]) -> tuple[numpy.ndarray, int]:

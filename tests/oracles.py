@@ -17,7 +17,9 @@ and a recursion that copies every tail. The mean purity sums all N^2 entry
 moments rho[i,j] * rho[j,i], as the library did before it used two, and the
 exact moment of Gaussian-integer observables sums entry moments over index pairs. The exact
 generating-function coefficient of a Gaussian-integer matrix is the class sum over its exact power
-sums, as the library evaluated it before it used Newton's identity.
+sums, as the library evaluated it before it used Newton's identity. A power-sum
+polynomial is evaluated term by term, and a cycle word is checked for canonical form,
+as the library's result types did before only their builders made them.
 """
 
 from fractions import Fraction
@@ -72,6 +74,21 @@ def weyl_ratio_character(parts, eigenvalues):
     steps = np.arange(x.size - 1, -1, -1)
     eta = np.array(tuple(parts) + (0,) * (x.size - len(parts)))
     return complex(np.linalg.det(x[:, None] ** (eta + steps)) / np.linalg.det(x[:, None] ** steps))
+
+
+def power_sum_value(terms, power_sums):
+    """Sum of coefficient * prod_r t_r^e_r over ``PowerSumPoly.terms``, with power_sums[r-1] supplying t_r.
+
+    Exact when the inputs are Fractions/ints, complex otherwise.
+    """
+    total = Fraction(0)
+    for key, coeff in terms.items():
+        value = coeff
+        for r, e in enumerate(key, start=1):
+            if e:
+                value = value * power_sums[r - 1] ** e
+        total = total + value
+    return total
 
 
 def dim_char_sum_oracle(k, n):
@@ -197,6 +214,14 @@ def omega_expand_oracle(monomial, k):
         key = tuple(sorted(cycles))
         terms[key] = terms.get(key, Fraction(0)) + 1
     return terms
+
+
+def check_canonical(term, order):
+    """Refuse a term unless it covers 1..order once in sorted cycles, each led by its minimum."""
+    if sorted(i for cycle in term for i in cycle) != list(range(1, order + 1)):
+        raise ValueError(f"term {term} does not cover indices 1..{order}")
+    if any(not cycle or cycle[0] != min(cycle) for cycle in term) or list(term) != sorted(term):
+        raise ValueError(f"term {term} is not canonical: sorted cycles, each led by its minimum")
 
 
 def ensemble_normalization(k, n):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 import rho_moments
-from rho_moments import CapExceededError, CycleType, EntryMomentSpec, entry_moment, moment_traces, omega_expand
+from rho_moments import (
+    CapExceededError, CycleType, DirichletSpec, EntryMomentSpec, Partition, ScaledRational, SimplexMomentSpec,
+    det_lemma_value, dirichlet_moment, entry_moment, moment_traces, omega_expand, simplex_moment,
+)
 from rho_moments.cli import main
 
 PUBLIC_NAMES = {
@@ -111,3 +115,35 @@ def test_every_cap_refuses_in_one_wording(name):
     with pytest.raises(CapExceededError) as refused:
         CAPPED[name](cap + 1, cap)
     assert str(refused.value).startswith(f"K = {cap + 1} exceeds the cap of {cap}; ")
+
+
+# int() truncated each of these: EntryMomentSpec(2.9, ((1.9, 2.2), (2.5, 1.0))) was N = 2, ((1, 2), (2, 1))
+NON_INTEGER_INPUTS = {
+    "Partition": lambda: Partition((2.5, 1)),
+    "CycleType": lambda: CycleType((1, 1.0)),
+    "EntryMomentSpec dimension": lambda: EntryMomentSpec(2.9, ((1, 2), (2, 1))),
+    "EntryMomentSpec pairs": lambda: EntryMomentSpec(2, ((1.9, 2.2), (2.5, 1.0))),
+    "beta": lambda: det_lemma_value((0, 1.5)),
+    "ScaledRational exponent": lambda: ScaledRational(Fraction(1, 2), 1.5),
+    "SimplexMomentSpec": lambda: SimplexMomentSpec((2.7, 0, 1)),
+    "DirichletSpec exponents": lambda: DirichletSpec((1.0,)),
+    "DirichletSpec weight_power": lambda: DirichletSpec((1,), 1, 1.8),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_INPUTS.values(), ids=NON_INTEGER_INPUTS)
+def test_integer_inputs_refuse_floats(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_integer_inputs_take_numpy_integers():
+    i = np.int64
+    assert Partition((i(2), i(1))) == Partition((2, 1))
+    assert CycleType((i(1), i(1))) == CycleType((1, 1))
+    spec = EntryMomentSpec(i(2), ((i(1), i(2)), (i(2), i(1))))
+    assert type(spec.dimension) is int and entry_moment(spec) == Fraction(1, 10)
+    assert det_lemma_value((i(0), i(1))) == det_lemma_value((0, 1))
+    assert ScaledRational(Fraction(1, 2), i(3)).twopi_exponent == 3
+    assert simplex_moment(SimplexMomentSpec((i(2), i(0), i(1)))) == Fraction(1, 60)
+    assert dirichlet_moment(DirichletSpec((i(1),), 1, i(1))) == dirichlet_moment(DirichletSpec((1,), 1, 1))

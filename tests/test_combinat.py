@@ -34,7 +34,7 @@ class TestPartition:
     def test_boxes_and_rows(self):
         p = Partition((6, 3, 3))
         assert p.boxes() == 12
-        assert p.rows() == 3
+        assert len(p.parts) == 3
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
