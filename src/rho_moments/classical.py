@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .combinat import bounded_factorial, bounded_power
+from .combinat import _naturals, bounded_factorial, bounded_power
 
 __all__ = [
     "MIN_SAMPLES",
@@ -31,15 +31,6 @@ __all__ = [
 
 # Every Monte Carlo estimator refuses smaller sample counts.
 MIN_SAMPLES = 100
-
-
-def _as_exponents(exponents) -> tuple[int, ...]:
-    out = tuple(map(operator.index, exponents))
-    if not out:
-        raise ValueError("at least one exponent is required")
-    if any(e < 0 for e in out):
-        raise ValueError(f"exponents must be non-negative, got {out}")
-    return out
 
 
 def _as_scale(scale) -> Fraction:
@@ -57,7 +48,7 @@ class SimplexMomentSpec:
     scale: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", _as_exponents(self.exponents))
+        object.__setattr__(self, "exponents", _naturals(self.exponents, "exponents"))
         object.__setattr__(self, "scale", _as_scale(self.scale))
 
     def degree(self) -> int:
@@ -74,7 +65,7 @@ class DirichletSpec:
     weight_power: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", _as_exponents(self.exponents))
+        object.__setattr__(self, "exponents", _naturals(self.exponents, "exponents"))
         object.__setattr__(self, "scale", _as_scale(self.scale))
         weight_power = operator.index(self.weight_power)
         if weight_power < 0:

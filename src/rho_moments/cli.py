@@ -245,14 +245,14 @@ def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
         classes = enumerate_cycle_types(k)
         columns = ["irrep"] + [c.label() for c in classes]
         rows: list[list] = [["order"] + [class_order(c) for c in classes]]
-        for irrep in enumerate_partitions(k, k):
+        for irrep in enumerate_partitions(k):
             rows.append([str(irrep)] + [sym_character(irrep, c) for c in classes])
         emit_table(fmt, "sym-chars", {"k": k}, columns, rows)
     elif which == "unitary-chars":
         classes = enumerate_cycle_types(k)
         columns = ["irrep"] + [monomial_label(c.counts) for c in classes]
         rows = []
-        for irrep in enumerate_partitions(k, k):
+        for irrep in enumerate_partitions(k):
             poly = unitary_char_poly(irrep)
             rows.append([str(irrep)] + [poly.coefficient(c.counts) for c in classes])
         emit_table(fmt, "unitary-chars", {"k": k}, columns, rows)
@@ -260,7 +260,7 @@ def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
         if n is None:
             raise click.BadParameter("--n is required for dims")
         columns = ["irrep", "dim"]
-        rows = [[str(irrep), weyl_dim(irrep, n)] for irrep in enumerate_partitions(k, k)]
+        rows = [[str(irrep), weyl_dim(irrep, n)] for irrep in enumerate_partitions(k)]
         emit_table(fmt, "dims", {"k": k, "n": n}, columns, rows)
     else:
         if n is None:

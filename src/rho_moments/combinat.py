@@ -31,6 +31,16 @@ __all__ = [
 ]
 
 
+def _naturals(values: Iterable[int], name: str) -> tuple[int, ...]:
+    """``values`` as a non-empty tuple of non-negative ints, read with ``index``; ``name`` names them in errors."""
+    out = tuple(map(index, values))
+    if not out:
+        raise ValueError(f"{name} must be non-empty")
+    if any(v < 0 for v in out):
+        raise ValueError(f"{name} must be non-negative, got {out}")
+    return out
+
+
 def _without_trailing_zeros(values: Iterable[int]) -> tuple[int, ...]:
     """The values as a tuple, trailing zeros popped from a list in linear time."""
     out = list(values)
@@ -141,31 +151,27 @@ class CycleType:
         return self.label()
 
 
-def enumerate_partitions(k: int, max_rows: int) -> list[Partition]:
-    """All partitions of ``k`` with at most ``max_rows`` parts.
+def enumerate_partitions(k: int) -> list[Partition]:
+    """All partitions of ``k``.
 
     Ordered reverse-lexicographically (largest first part first), so the
-    one-row shape leads and the single-column shape, when admissible, closes
-    the list. ``k = 0`` yields exactly the empty partition.
+    one-row shape leads and the single-column shape closes the list.
+    ``k = 0`` yields exactly the empty partition.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if max_rows < 1:
-        raise ValueError("max_rows must be positive")
     result: list[Partition] = []
 
-    def descend(remaining: int, max_part: int, prefix: list[int], rows_left: int) -> None:
+    def descend(remaining: int, max_part: int, prefix: list[int]) -> None:
         if remaining == 0:
             result.append(Partition(prefix))
             return
         for part in range(min(remaining, max_part), 0, -1):
-            if part * rows_left < remaining:
-                break
             prefix.append(part)
-            descend(remaining - part, part, prefix, rows_left - 1)
+            descend(remaining - part, part, prefix)
             prefix.pop()
 
-    descend(k, k if k else 1, [], max_rows)
+    descend(k, k, [])
     return result
 
 

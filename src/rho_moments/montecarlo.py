@@ -119,6 +119,8 @@ def _estimate(
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"at least {MIN_SAMPLES} samples are required")
+    if not consumers:
+        return []
     size = max(1, _CHUNK_ENTRIES // width)
     chunks = -(-samples // size)
     workers = min(max(1, int(workers)), chunks, os.cpu_count() or 1)
@@ -264,7 +266,13 @@ def estimate_mgf(
 
 
 def _float_targets(exact, scale, power: int, count: int) -> tuple[complex, float, float]:
-    """The exact target, the scale and scale^power / count! as floats, or a ValueError."""
+    """The exact target, the scale and scale^power / count! as floats, or a ValueError.
+
+    A nonzero target below 2^-511 is refused too: its square, the scale of the
+    squared deviations, is no longer a normal float, so its z-score would read 0.
+    """
+    if 0 < abs(exact) < Fraction(1, 1 << 511):
+        raise ValueError("the exact value is too small for a float z-score")
     try:
         return complex(exact), float(scale), float(scale) ** power / math.factorial(count)
     except OverflowError as exc:

@@ -12,8 +12,8 @@ products over permutations, and is cross-checked against the K = 1, 2 closed
 forms, the K <= 4 weighted-character table, and Monte Carlo sampling. The
 permutation sum groups equal observables, each distinct one a colour of
 multiplicity m_i: it is m! [x^m] det(I - sum_i x_i C_i)^(-N), by a recurrence
-over the content vectors c <= m, layer by layer in |c|, whose cost is given in
-``_permutation_sum`` and whose index plans in ``_layer_plan``.
+over the content vectors c <= m, layer by layer in |c|, whose recurrence, cost
+and index plans are given in ``_layer_plan``.
 ``omega_expand`` lists canonical cycle words by construction, each cycle
 opening at the least index not yet used, and checks only their count.
 All user-facing moments are normalized by the ensemble volume,
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, permutations, product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .combinat import (
-    CycleType, bounded_factorial, check_cap, class_order, lower_triangle_count, super_factorial, vandermonde,
+    CycleType, _naturals, bounded_factorial, check_cap, class_order, lower_triangle_count, super_factorial, vandermonde,
 )
 
 __all__ = [
@@ -54,11 +54,10 @@ __all__ = [
     "purity_mean",
 ]
 
-# Largest K accepted per call. The permutation sums' chain steps and peak
-# memory are given in ``_permutation_sum``, their cached plans' sizes in
-# ``_layer_plan``; ``omega_expand`` lists the K!/z_mu distinct cycle words of
-# its class. Overridable per call. A refusal comes before any count; it names
-# K!/z_mu only while K! < 2^63.
+# Largest K accepted per call. The permutation sums' chain steps, peak memory
+# and cached plans' sizes are given in ``_layer_plan``; ``omega_expand`` lists
+# the K!/z_mu distinct cycle words of its class. Overridable per call. A
+# refusal comes before any count; it names K!/z_mu only while K! < 2^63.
 DEFAULT_BOX_CAP = 8
 PERMUTATION_SUM_COST = "the permutation sum costs up to (K-1)*2^(K-2)+1 chain steps, fewer when inputs repeat"
 
@@ -76,16 +75,9 @@ class ScaledRational:
         object.__setattr__(self, "twopi_exponent", exponent if self.rational else 0)
 
     def __mul__(self, other):
-        if isinstance(other, ScaledRational):
-            return ScaledRational(
-                self.rational * other.rational,
-                self.twopi_exponent + other.twopi_exponent,
-            )
         if isinstance(other, (int, Fraction)):
             return ScaledRational(self.rational * other, self.twopi_exponent)
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if self.twopi_exponent == 0:
@@ -175,21 +167,12 @@ def hs_volume(n: int) -> ScaledRational:
     return ScaledRational(Fraction(super_factorial(n - 1), denominator), lower_triangle_count(n))
 
 
-def _check_beta(beta: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(map(operator.index, beta))
-    if not out:
-        raise ValueError("beta must be non-empty")
-    if any(b < 0 for b in out):
-        raise ValueError(f"beta entries must be non-negative, got {out}")
-    return out
-
-
 def det_lemma_value(beta: Sequence[int]) -> int:
     """prod(beta_j!) * difference product of beta, as an exact integer.
 
     Equals the determinant of the matrix M[i, j] = (i + beta_j)!.
     """
-    beta = _check_beta(beta)
+    beta = _naturals(beta, "beta")
     product = 1
     for b in beta:
         product *= bounded_factorial(b)
@@ -205,7 +188,7 @@ def int_lemma_value(beta: Sequence[int]) -> Fraction:
     N-vector beta. No ordering of the x_j is imposed: beta = (0, 1) gives 1/6,
     where x_1 < x_2 alone gives 5/24.
     """
-    beta = _check_beta(beta)
+    beta = _naturals(beta, "beta")
     n = len(beta)
     nu = sum(beta) + lower_triangle_count(n) + n - 1
     return Fraction(det_lemma_value(beta), bounded_factorial(nu))
@@ -339,19 +322,40 @@ def _validated_observables(observables: Sequence[numpy.ndarray]) -> tuple[numpy.
 
 @lru_cache(maxsize=66)  # every partition of every K <= 8
 def _layer_plan(mults: tuple[int, ...]) -> tuple[tuple[list[int], list[int], list[int], list[int]], ...]:
-    """Each layer's (src, mul, weight, starts) lists for ``_permutation_sum``, layer 1 first.
+    """Each layer's (src, mul, weight, starts) lists for the permutation sum, layer 1 first.
 
-    Layer L holds the content vectors c <= m - e_0 with |c| = L, m the
-    multiplicities; layer 0 is c = 0 alone. Each state's terms are its
-    colours i with c_i > 0, in order, so its least colour's comes first:
-    each reads c - e_i in the layer below, through a content -> position
-    table of that layer only, and carries the weight c_i. Layer K - 1 is
-    m - e_0 alone, and layer K, m alone, holds its colour-0 term only. The
-    plan depends on m alone and is shared by every call, so no engine may
-    write to its lists. The cache keeps all 66 plans of K <= 8 resident:
-    3,409 terms, 0.25 MB. A K's largest plan, K distinct colours, holds
-    (K - 1) 2^(K - 2) + 1 terms: 0.015 MB at K = 8, 0.37 MB at K = 12 and
-    8.3 MB at K = 16.
+    Colour each distinct observable i, of multiplicity m_i, in ascending
+    order of m_i. The sum over pi in S_K of n^cycles(pi) * prod over cycles
+    of tr(C_j1 ... C_jm) is m! [x^m] F for F = det(I - X)^(-n),
+    X = sum_i x_i C_i (Goodman's complex-Wishart Laplace transform), with
+    m! = prod_i m_i!. With R = F (I - X)^(-1) and, for each content vector c,
+    F~[c] = c! [x^c] F and R~[c] = c! [x^c] R:
+
+        R~[c] = F~[c] I + sum over c_i > 0 of c_i R~[c - e_i] C_i,
+        F~[c] = n tr(R~[c - e_i] C_i) for any i with c_i > 0 (Jacobi's formula),
+
+    the second taken at the least colour of c, and the sum is
+    F~[m] = n tr(R~[m - e_0] C_0). Only the states c <= m - e_0 are read,
+    prod_i (m_i + 1) * m_0 / (m_0 + 1) of them, one chain step per colour
+    present in each, and one step for m: 2^(K-1) states and (K-1) 2^(K-2) + 1
+    steps when no observable repeats, K of each for one repeated K times. Every
+    read comes from the layer |c| - 1, so the sum goes layer by layer from
+    layer 0, c = 0 alone with F~ = 1 and R~ = I, two layers resident, at most
+    C(K-1, (K-1)//2) states each. ``moment_traces`` holds 3 T + S N x N
+    matrices while it builds a layer of T terms from the S states below: 455
+    at K = 8 with no repeats. The weights c_i are small integers, so integer
+    inputs keep an integer sum, with no division.
+
+    Layer L holds the content vectors c <= m - e_0 with |c| = L. The terms of
+    its state s are t in range(starts[s], starts[s + 1]), one per colour
+    i = mul[t] with c_i > 0, in order, so its least colour's comes first:
+    each reads R~[c - e_i], entry src[t] of the layer below, and carries the
+    weight c_i. Layer K - 1 is m - e_0 alone, and layer K, m alone, holds its
+    colour-0 term only: its F~ is the sum. The plan depends on m alone and is
+    shared by every call, so no engine may write to its lists. The cache
+    keeps all 66 plans of K <= 8 resident: 3,409 terms, 0.25 MB. A K's
+    largest plan, K distinct colours, holds (K - 1) 2^(K - 2) + 1 terms:
+    0.015 MB at K = 8, 0.37 MB at K = 12 and 8.3 MB at K = 16.
     """
     top = (mults[0] - 1, *mults[1:])
     states = [((0,) * len(mults), 0)]  # each state with its highest colour present, or 0
@@ -373,44 +377,6 @@ def _layer_plan(mults: tuple[int, ...]) -> tuple[tuple[list[int], list[int], lis
         layers.append((src, mul, weight, starts))
     layers.append(([0], [0], [mults[0]], [0]))  # F~[m] = n tr(R~[m - e_0] C_0)
     return tuple(layers)
-
-
-def _permutation_sum(mults: tuple[int, ...], empty, extend: Callable):
-    """Sum over pi in S_K of n^cycles(pi) * prod over cycles of tr(C_j1 ... C_jm), by content layers.
-
-    Colour each distinct observable i, of multiplicity m_i, in ascending
-    order of m_i. The sum is m! [x^m] F for F = det(I - X)^(-n),
-    X = sum_i x_i C_i (Goodman's complex-Wishart Laplace transform), with
-    m! = prod_i m_i!. With R = F (I - X)^(-1) and, for each content vector c,
-    F~[c] = c! [x^c] F and R~[c] = c! [x^c] R:
-
-        R~[c] = F~[c] I + sum over c_i > 0 of c_i R~[c - e_i] C_i,
-        F~[c] = n tr(R~[c - e_i] C_i) for any i with c_i > 0 (Jacobi's formula),
-
-    the second taken at the least colour of c, and the sum is
-    F~[m] = n tr(R~[m - e_0] C_0). Only the states c <= m - e_0 are read,
-    prod_i (m_i + 1) * m_0 / (m_0 + 1) of them, one chain step per colour
-    present in each, and one step for m: 2^(K-1) states and (K-1) 2^(K-2) + 1
-    steps when no observable repeats, K of each for one repeated K times. Every
-    read comes from the layer |c| - 1, so the sum goes layer by layer, two
-    layers resident, at most C(K-1, (K-1)//2) states each. ``moment_traces``
-    holds 3 T + S N x N matrices while it builds a layer of T terms from the
-    S states below: 455 at K = 8 with no repeats. The weights c_i are small
-    integers, so integer inputs keep an integer sum, with no division.
-
-    A layer is a pair: its states' F~ and their R~ as the engine keeps it;
-    ``empty`` is layer 0, c = 0, with F~ = 1 and R~ = I. ``extend(below,
-    src, mul, weight, starts)`` returns each layer from the one below: the
-    terms of its state s are t in range(starts[s], starts[s + 1]), each
-    weight[t] times R~ entry src[t] of ``below`` times C_mul[t], its first
-    term its least colour's. The last layer, m's alone, is returned, and its
-    F~ is the sum; of its R~, only the colour-0 term is kept. The lists come
-    from ``_layer_plan(mults)``, built once per multiplicity tuple.
-    """
-    layer = empty
-    for src, mul, weight, starts in _layer_plan(mults):
-        layer = extend(layer, src, mul, weight, starts)
-    return layer
 
 
 def _colours(items: Sequence) -> tuple[list, tuple[int, ...]]:
@@ -437,7 +403,7 @@ def moment_traces(
     gather and one ``einsum`` (not BLAS, whose bits depend on the build and
     CPU) plus F~ C_i; F~ is n times the trace of each state's first product,
     and the products, each weighted by its c_i, are summed per state by
-    ``reduceat``; its peak memory is given in ``_permutation_sum``.
+    ``reduceat``; its peak memory is given in ``_layer_plan``.
     No chain overflows: each C_j is scaled by 2^-e_j, its largest |Re| or |Im| then in [1/2, 1)
     (or 2^1021 up at most). Each part x of the total is rounded once from the exact
     x * 2^(sum e_j) * (N^2-1)!/(K+N^2-1)!, so the moment is exact wherever the total
@@ -454,17 +420,15 @@ def moment_traces(
     colours, mults = _colours(keys)
     mats = mats[[keys.index(c) for c in colours]]  # each colour's first observable
 
-    def extend(below, src, mul, weight, starts):
-        fs, parts = below
+    fs, parts = np.ones(1), np.zeros((1, n, n), complex)  # layer 0: F~ = 1, R~ - F~ I = 0
+    for src, mul, weight, starts in _layer_plan(mults):
         steps = mats[mul]
         prods = np.einsum("tik,tkl->til", parts[src], steps)
         prods += np.einsum("t,tkl->tkl", fs[src], steps)  # F~ C_i, by einsum: * rounds complex products differently
-        f = n * np.einsum("tii->t", prods).take(starts)
+        fs = n * np.einsum("tii->t", prods).take(starts)
         prods *= np.array(weight, float)[:, None, None]
-        return f, np.add.reduceat(prods, starts)
-
-    total = complex(_permutation_sum(mults, (np.ones(1), np.zeros((1, n, n), complex)), extend)[0][0])
-    return _rounded(total, sum(exponents), _rising_product(k, n))
+        parts = np.add.reduceat(prods, starts)
+    return _rounded(complex(fs[0]), sum(exponents), _rising_product(k, n))
 
 
 _ZERO = Fraction(0)  # one shared zero: a Fraction is immutable, and most entry moments vanish
@@ -485,8 +449,8 @@ def entry_moment(spec: EntryMomentSpec, *, max_boxes: int = DEFAULT_BOX_CAP) -> 
         return _ZERO  # no cycle closes unless the columns rearrange the rows
     colours, mults = _colours(spec.pairs)
 
-    def extend(below, src, mul, weight, starts):
-        fs, parts = below
+    fs, parts = [1], [{}]  # layer 0: F~ = 1, R~ = I
+    for src, mul, weight, starts in _layer_plan(mults):
         layer_f, layer = [], []
         for lo, hi in zip(starts, starts[1:] + [len(src)]):
             s, (at, to) = src[lo], colours[mul[lo]]  # the least colour's step: F~ = n tr(R~ E_at,to) = n R~[to, at]
@@ -504,10 +468,8 @@ def entry_moment(spec: EntryMomentSpec, *, max_boxes: int = DEFAULT_BOX_CAP) -> 
                         for row, count in column.items():
                             target[row] = target.get(row, 0) + w * count
             layer.append(ends)
-        return layer_f, layer
-
-    total = _permutation_sum(mults, ([1], [{}]), extend)[0][0]
-    return Fraction(total, _rising_product(k, n))
+        fs, parts = layer_f, layer
+    return Fraction(fs[0], _rising_product(k, n))
 
 
 def purity_mean(n: int) -> Fraction:

@@ -157,7 +157,7 @@ def _quantum_checks(samples: int, seed: int, workers: int) -> list[CheckResult]:
         dim_char_sum(k, n).coefficient(c.counts)
         == sum(
             weyl_dim(irrep, n) * unitary_char_poly(irrep).coefficient(c.counts)
-            for irrep in enumerate_partitions(k, k)
+            for irrep in enumerate_partitions(k)
         )
         for k in range(1, 7)
         for n in range(1, 5)

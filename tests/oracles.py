@@ -98,7 +98,7 @@ def dim_char_sum_oracle(k, n):
     expansion of each character, keyed like ``PowerSumPoly.terms``.
     """
     total = {}
-    for irrep in enumerate_partitions(k, k):
+    for irrep in enumerate_partitions(k):
         dim = hook_content_dim(irrep.parts, n)
         for key, coeff in unitary_char_poly(irrep).terms.items():
             total[key] = total.get(key, 0) + dim * coeff
@@ -107,7 +107,7 @@ def dim_char_sum_oracle(k, n):
 
 def enumerate_cycle_types_oracle(k):
     """The classes of S_K by sorting the partitions of K as weakly increasing cycle-length tuples."""
-    lengths = sorted(tuple(sorted(p.parts)) for p in enumerate_partitions(k, max(k, 1)))
+    lengths = sorted(tuple(sorted(p.parts)) for p in enumerate_partitions(k))
     return [CycleType([t.count(r) for r in range(1, max(t, default=0) + 1)]) for t in lengths]
 
 

@@ -114,7 +114,7 @@ class TestSymCharacters:
         orders, rows = SYM_CHARACTER_TABLES[k]
         classes = enumerate_cycle_types(k)
         assert [class_order(c) for c in classes] == orders
-        for irrep in enumerate_partitions(k, k):
+        for irrep in enumerate_partitions(k):
             assert [sym_character(irrep, c) for c in classes] == rows[irrep.parts]
 
     def test_golden_entries(self):
@@ -133,7 +133,7 @@ class TestSymCharacters:
     @pytest.mark.parametrize("k", range(2, 8))
     def test_orthogonality(self, k):
         classes = enumerate_cycle_types(k)
-        irreps = enumerate_partitions(k, k)
+        irreps = enumerate_partitions(k)
         kfact = factorial(k)
         for a in irreps:
             for b in irreps:
@@ -149,7 +149,7 @@ class TestSymCharacters:
         def worker():
             table = [
                 sym_character(i, c)
-                for i in enumerate_partitions(6, 6)
+                for i in enumerate_partitions(6)
                 for c in enumerate_cycle_types(6)
             ]
             results.append(table)
@@ -171,7 +171,7 @@ class TestPowerSumPoly:
         poly = PowerSumPoly({(1,): F(2)})
         assert power_sum_value(poly.terms, [1 + 1j]) == 2 + 2j
 
-    def test_keys_and_lookups_strip_many_trailing_zeros(self):
+    def test_lookups_strip_many_trailing_zeros(self):
         # the CLI looks coefficients up by CycleType.counts, padded with zeros to K slots
         padded = (1,) + (0,) * 40000
         poly = PowerSumPoly({(1,): F(1)})
@@ -190,7 +190,7 @@ class TestUnitaryCharPoly:
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_homogeneous(self, k):
-        for irrep in enumerate_partitions(k, k):
+        for irrep in enumerate_partitions(k):
             weights = {sum(r * e for r, e in enumerate(key, start=1)) for key in unitary_char_poly(irrep).terms}
             assert weights == {k}
 
@@ -283,13 +283,13 @@ class TestWeylDim:
     def test_against_hook_content_oracle(self):
         for k in range(1, 9):
             for n in range(1, 11):
-                for irrep in enumerate_partitions(k, k):
+                for irrep in enumerate_partitions(k):
                     assert weyl_dim(irrep, n) == hook_content_dim(irrep.parts, n)
 
     def test_matches_character_at_identity(self):
         for k in range(1, 6):
             for n in range(1, 6):
-                for irrep in enumerate_partitions(k, n):
+                for irrep in (p for p in enumerate_partitions(k) if len(p.parts) <= n):
                     assert power_sum_value(unitary_char_poly(irrep).terms, [n] * k) == weyl_dim(irrep, n)
 
 

@@ -199,7 +199,7 @@ class TestSampleSimplex:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: SimplexMomentSpec(()), "at least one exponent is required"),
+        (lambda: SimplexMomentSpec(()), "exponents must be non-empty"),
         (lambda: DirichletSpec((1,), weight_power=-1), "weight_power must be a non-negative integer"),
         (lambda: sample_simplex_batch(0, 3, np.random.default_rng(0)), "n_components must be positive"),
         (lambda: sample_simplex_batch(2, -1, np.random.default_rng(0)), "count must be non-negative"),

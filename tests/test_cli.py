@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -186,6 +185,14 @@ class TestSimplexCommand:
         if code:
             assert result.output == "Error: weight power 10001 is above the Monte Carlo limit 10000\n"
 
+    @pytest.mark.parametrize("dirichlet", ([], ["--dirichlet"]))
+    def test_monte_carlo_target_below_the_float_range_is_usage_error(self, runner, dirichlet):
+        # an exact value of 1e-400 reads 0.0 as a float, and so would every sample and the z-score
+        argv = ["simplex", "--nu", "1", "--lambda", "1e-400", *dirichlet, "--mc", "100", "1"]
+        result = runner.invoke(main, argv, catch_exceptions=False)
+        assert result.exit_code == 2, result.output
+        assert "float" in result.output
+
     def test_malformed_rational_is_usage_error(self, runner):
         result = runner.invoke(main, ["simplex", "--nu", "1", "--lambda", "a/b"])
         assert result.exit_code == 2
@@ -306,12 +313,10 @@ class TestQmomentCommand:
         assert "cap" in result.output
 
     def test_raised_cap_reaches_the_mc_report(self, runner, monkeypatch):
-        # the report is measured against the printed exact value: one permutation sum per query
-        engine = rho_moments.quantum._permutation_sum
+        # the report is measured against the printed exact value: one permutation sum, one plan read, per query
+        plan = rho_moments.quantum._layer_plan
         calls = []
-        monkeypatch.setattr(
-            rho_moments.quantum, "_permutation_sum", lambda *args: calls.append(args) or engine(*args)
-        )
+        monkeypatch.setattr(rho_moments.quantum, "_layer_plan", lambda mults: calls.append(mults) or plan(mults))
         entries = " ".join(["1,1"] * 9)
         argv = ["qmoment", "--n", "2", "--entries", entries, "--cap-k", "9", "--mc", "1000", "1", "--threads", "1"]
         result = runner.invoke(main, argv + ["--format", "json"])
@@ -367,22 +372,18 @@ class TestVerifyCommand:
         assert all({"name", "passed", "detail"} <= set(c) for c in doc["checks"])
 
     def test_perturbed_block_weight_fails(self, runner, monkeypatch):
-        engine = rho_moments.quantum._permutation_sum
+        plan = rho_moments.quantum._layer_plan
 
-        def corrupted(mults, empty, extend):
-            # The layers are built in order of |c|, so the K-th holds the full
-            # content vector m alone, whose F~ is the sum: add 1 to it only.
-            layers = itertools.count(1)
+        def corrupted(mults):
+            # Layer K - 1 holds m - e_0 alone, whose R~ the last layer reads:
+            # add 1 to its first weight, in new lists, so the cached plan stays as built.
+            *layers, last = plan(mults)
+            if layers:
+                src, mul, weight, starts = layers[-1]
+                layers[-1] = (src, mul, [weight[0] + 1, *weight[1:]], starts)
+            return (*layers, last)
 
-            def extend_wrongly(below, src, mul, weight, starts):
-                layer = extend(below, src, mul, weight, starts)
-                if next(layers) == sum(mults):
-                    layer[0][-1] += 1
-                return layer
-
-            return engine(mults, empty, extend_wrongly)
-
-        monkeypatch.setattr(rho_moments.quantum, "_permutation_sum", corrupted)
+        monkeypatch.setattr(rho_moments.quantum, "_layer_plan", corrupted)
         result = runner.invoke(
             main,
             ["verify", "--suite", "quantum", "--samples", "5000", "--seed", "7", "--threads", "1"],

@@ -216,8 +216,16 @@ def test_requires_minimum_samples(estimate):
         (estimate_simplex_moment, SimplexMomentSpec((400,), 10)),
         (estimate_dirichlet_moment, DirichletSpec((1, 2), Fraction(10) ** 400)),
         (estimate_dirichlet_moment, DirichletSpec((400,), 10)),
+        # below 2^-511 the squared deviations underflow, so the z-score would read 0
+        (estimate_simplex_moment, SimplexMomentSpec((1, 2), Fraction(1, 10**400))),
+        (estimate_simplex_moment, SimplexMomentSpec((400, 400))),
+        (estimate_dirichlet_moment, DirichletSpec((1, 2), Fraction(1, 10**400))),
+        (estimate_dirichlet_moment, DirichletSpec((400, 400))),
     ],
-    ids=["simplex-scale", "simplex-value", "dirichlet-scale", "dirichlet-value"],
+    ids=[
+        "simplex-scale", "simplex-value", "dirichlet-scale", "dirichlet-value",
+        "simplex-tiny-scale", "simplex-tiny-value", "dirichlet-tiny-scale", "dirichlet-tiny-value",
+    ],
 )
 def test_simplex_targets_beyond_float_range_are_value_errors(estimate, spec):
     with pytest.raises(ValueError, match="float"):
@@ -244,6 +252,16 @@ def test_refusals(call, message):
 
 def test_no_entry_specs_give_no_reports():
     assert estimate_entry_moments([], MIN_SAMPLES, 1) == []
+
+
+def test_no_lambda_min_points_draw_no_samples(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampled with nothing to estimate")
+
+    monkeypatch.setattr(montecarlo, "sample_density_batch", refuse)
+    assert estimate_lambda_min_law(3, [], 1_000_000, 1) == []
+    with pytest.raises(ValueError, match="at least"):
+        estimate_lambda_min_law(3, [], MIN_SAMPLES - 1, 1)
 
 
 class TestEstimatorDeterminism:
