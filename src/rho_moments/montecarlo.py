@@ -18,7 +18,9 @@ chunk reduces to the mean and the sum of squared deviations of each consumer's
 real and imaginary parts, and these are merged in chunk order (Chan, Golub and
 LeVeque 1983) into one mean and one sum of squares per component, from which
 each report is read. A report therefore depends on the seed alone; the worker
-count changes only the speed.
+count changes only the speed. Consumers of one stream share one call, and each
+still reduces on its own, so its report is the one it would get alone:
+``verify`` reads N = 2 purity and two entry moments from one stream this way.
 """
 
 from __future__ import annotations
@@ -191,30 +193,30 @@ def sample_density_batch(n: int, count: int, rng: np.random.Generator) -> np.nda
     return gram
 
 
+def _entry_product(spec: EntryMomentSpec, batch: np.ndarray) -> np.ndarray:
+    """The product of ``spec``'s entries in each sample, one complex multiply at a time in real arithmetic."""
+    (i, j), *rest = [(i - 1, j - 1) for i, j in spec.pairs]
+    value = batch[:, i, j].copy()
+    re, im = value.real, value.imag
+    for i, j in rest:
+        x, y = batch[:, i, j].real, batch[:, i, j].imag
+        re[:], im[:] = re * x - im * y, re * y + im * x
+    return value
+
+
+def _purity(batch: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of each sample."""
+    return np.einsum("sij,sji->s", batch, batch).real
+
+
 def _entry_reports(
     specs: Sequence[EntryMomentSpec], exact: Sequence[complex], samples: int, seed: int, workers: int
 ) -> list[EstimateReport]:
     """Estimate several entry moments from one shared sample stream, each against its ``exact`` value."""
-    if not specs:
-        return []
-    n = specs[0].dimension
+    n = specs[0].dimension if specs else 1
     if any(s.dimension != n for s in specs):
         raise ValueError("all specs must share one dimension")
-
-    def make_consumer(spec: EntryMomentSpec) -> Callable[[np.ndarray], np.ndarray]:
-        idx = [(i - 1, j - 1) for i, j in spec.pairs]
-
-        def consume(batch: np.ndarray) -> np.ndarray:
-            value = batch[:, idx[0][0], idx[0][1]].copy()
-            re, im = value.real, value.imag
-            for i, j in idx[1:]:
-                x, y = batch[:, i, j].real, batch[:, i, j].imag
-                re[:], im[:] = re * x - im * y, re * y + im * x
-            return value
-
-        return consume
-
-    consumers = [make_consumer(s) for s in specs]
+    consumers = [partial(_entry_product, s) for s in specs]
     return _estimate(partial(sample_density_batch, n), n * n, consumers, exact, samples, seed, workers)
 
 
@@ -231,12 +233,8 @@ def estimate_entry_moments(
 
 def estimate_purity(n: int, samples: int, seed: int, *, workers: int = 1) -> EstimateReport:
     """Sample mean of tr(rho^2) against the exact ensemble purity."""
-    exact = quantum.purity_mean(n)
-
-    def consume(batch: np.ndarray) -> np.ndarray:
-        return np.einsum("sij,sji->s", batch, batch).real
-
-    return _estimate(partial(sample_density_batch, n), n * n, [consume], [exact], samples, seed, workers)[0]
+    draw = partial(sample_density_batch, n)
+    return _estimate(draw, n * n, [_purity], [quantum.purity_mean(n)], samples, seed, workers)[0]
 
 
 def estimate_mgf(

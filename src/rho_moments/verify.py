@@ -3,7 +3,10 @@
 Each check compares an exact engine value against an independent route:
 closed forms, identities between modules, or seeded Monte Carlo estimates.
 Checks report pass/fail plus a one-line detail so failures are actionable
-from CI logs.
+from CI logs. Within the sampler suite, ``purity-mc-n2``,
+``entry-mc-offdiag-1/10`` and ``entry-mc-diag-3/10`` read one N = 2 sample
+stream; every other Monte Carlo check draws its own, and no stream is shared
+between suites, so a check prints the same line alone or under ``all``.
 """
 
 from __future__ import annotations
@@ -226,21 +229,16 @@ def _sampler_checks(samples: int, seed: int, workers: int) -> list[CheckResult]:
         )
     )
 
-    for n in (2, 3):
-        report = montecarlo.estimate_purity(n, samples, seed + 500 + n, workers=workers)
-        checks.append(_z_check(f"purity-mc-n{n}", report))
-
-    golden = montecarlo.estimate_entry_moments(
-        [
-            EntryMomentSpec(2, ((1, 2), (2, 1))),
-            EntryMomentSpec(2, ((1, 1), (1, 1))),
-        ],
-        samples,
-        seed + 600,
-        workers=workers,
-    )
-    checks.append(_z_check("entry-mc-offdiag-1/10", golden[0]))
-    checks.append(_z_check("entry-mc-diag-3/10", golden[1]))
+    # purity and both entry moments at N = 2 read one stream, seeded as purity-mc-n2 alone was
+    specs = [EntryMomentSpec(2, ((1, 2), (2, 1))), EntryMomentSpec(2, ((1, 1), (1, 1)))]
+    consumers = [montecarlo._purity, *(partial(montecarlo._entry_product, s) for s in specs)]
+    exact = [quantum.purity_mean(2), *map(quantum.entry_moment, specs)]
+    draw = partial(montecarlo.sample_density_batch, 2)
+    purity, offdiag, diag = montecarlo._estimate(draw, 4, consumers, exact, samples, seed + 502, workers)
+    checks.append(_z_check("purity-mc-n2", purity))
+    checks.append(_z_check("purity-mc-n3", montecarlo.estimate_purity(3, samples, seed + 503, workers=workers)))
+    checks.append(_z_check("entry-mc-offdiag-1/10", offdiag))
+    checks.append(_z_check("entry-mc-diag-3/10", diag))
 
     # N lambda_min(rho) ~ Beta(1, N^2 - 1), checked at t = j / (2 N^3) for j = 1, 2, 3
     for n in (2, 3):

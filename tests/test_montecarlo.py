@@ -250,8 +250,16 @@ def test_refusals(call, message):
         call()
 
 
-def test_no_entry_specs_give_no_reports():
+def test_no_entry_specs_give_no_reports(monkeypatch):
     assert estimate_entry_moments([], MIN_SAMPLES, 1) == []
+
+    def refuse(*args):
+        raise AssertionError("sampled with nothing to estimate")
+
+    monkeypatch.setattr(montecarlo, "sample_density_batch", refuse)
+    assert estimate_entry_moments([], 1_000_000, 1) == []
+    with pytest.raises(ValueError, match="at least"):
+        estimate_entry_moments([], MIN_SAMPLES - 1, 1)
 
 
 def test_no_lambda_min_points_draw_no_samples(monkeypatch):
@@ -354,6 +362,40 @@ class TestSeedAloneFixesReports:
         estimate_purity(3, 7282, seed=1, workers=1)
         # at most 2**16 entries per chunk: 2**10 samples of 8 x 8, 2**12 of 4 x 4, 7281 of 3 x 3
         assert counts == [(8, 2**10), (8, 2**10), (8, 1), (4, 2**12), (4, 1), (3, 7281), (3, 1)]
+
+
+class TestVerifySharesOneStream:
+    """The sampler suite reads purity-mc-n2 and both entry checks from one N = 2 stream."""
+
+    def test_one_n2_stream_gives_the_reports_of_separate_calls(self, monkeypatch):
+        drawn = {}
+        draw = montecarlo.sample_density_batch
+
+        def recording(n, count, rng):
+            drawn[n] = drawn.get(n, 0) + count
+            return draw(n, count, rng)
+
+        monkeypatch.setattr(montecarlo, "sample_density_batch", recording)
+        results = {r.name: r for r in verify.run_suite("sampler", 5000, 7, 1)}
+        # N = 2: the invariants, the shared stream, the law and the control's 10000; N = 3: invariants, purity, law
+        assert drawn == {2: 25000, 3: 15000}
+        monkeypatch.setattr(montecarlo, "sample_density_batch", draw)
+        assert results["purity-mc-n2"] == verify._z_check("purity-mc-n2", estimate_purity(2, 5000, 7 + 502))
+        specs = [EntryMomentSpec(2, ((1, 2), (2, 1))), EntryMomentSpec(2, ((1, 1), (1, 1)))]
+        offdiag, diag = estimate_entry_moments(specs, 5000, 7 + 502)
+        assert results["entry-mc-offdiag-1/10"] == verify._z_check("entry-mc-offdiag-1/10", offdiag)
+        assert results["entry-mc-diag-3/10"] == verify._z_check("entry-mc-diag-3/10", diag)
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_shared_checks_pass_at_the_benchmark_seeds(self, seed):
+        # the benchmark's verify seed pool at its own 1e6 samples
+        names = ("purity-mc-n2", "entry-mc-offdiag-1/10", "entry-mc-diag-3/10")
+        results = [r for r in verify.run_suite("sampler", 1_000_000, seed, 2) if r.name in names]
+        assert [(r.name, r.passed) for r in results] == [(name, True) for name in names]
+
+    def test_no_stream_crosses_suites(self):
+        alone = [r for suite in ("classical", "quantum", "sampler") for r in verify.run_suite(suite, 1000, 1, 1)]
+        assert verify.run_suite("all", 1000, 1, 1) == alone
 
 
 class TestEstimateEntryMoment:
