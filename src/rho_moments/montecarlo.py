@@ -3,9 +3,11 @@
 Density matrices are drawn as rho = G G^dagger / tr(G G^dagger) with G a
 square matrix of independent standard complex Gaussians; that normalization
 realizes the flat trace-one ensemble, which the purity, entry-moment, and
-eigenvalue-law checks validate rather than assume. The Gram product is built in
-real arithmetic from the real and imaginary parts of G, with the samples on the
-last axis. No sampler or consumer step applies BLAS, LAPACK, a complex ufunc
+eigenvalue-law checks validate rather than assume. The Gram product's diagonal
+and upper triangle are summed in real arithmetic from the real and imaginary
+parts of G into contiguous Re and Im planes, with the samples on the last axis;
+only those entries are divided by the trace, and the lower triangle is their
+conjugate. No sampler or consumer step applies BLAS, LAPACK, a complex ufunc
 multiply, ``**`` or ``exp`` to the samples, whose rounding depends on the BLAS
 build or on numpy's SIMD dispatch level: powers are repeated products, the
 mgf's exponential is its truncated series, and lambda_min(rho) > t is read from
@@ -55,9 +57,10 @@ __all__ = [
 ]
 
 # A chunk holds _CHUNK_ENTRIES sample entries, or one sample if that is wider:
-# its Gaussian draw and its Gram array are then 1 MiB each and stay in cache
-# (16384 samples at n = 2, 7281 at n = 3, 1024 at n = 8). The size depends on
-# the sample width alone, because chunk boundaries fix the streams.
+# its three arrays, the Gaussian draw, the Gram product's Re and Im planes and
+# the density matrices, are then 1 MiB each and stay in cache (16384 samples at
+# n = 2, 7281 at n = 3, 1024 at n = 8). The size depends on the sample width
+# alone, because chunk boundaries fix the streams.
 _CHUNK_ENTRIES = 1 << 16
 
 # A sampler bound to its shape: draw(count, rng) returns ``count`` samples.
@@ -159,9 +162,14 @@ def sample_density_batch(n: int, count: int, rng: np.random.Generator) -> np.nda
 
     The stack is a transposed view of an (n, n, count) array. ``rng`` draws
     the real and imaginary parts of G[i, j] for every sample at once, as one
-    (2, n, n, count) array. The result is exactly Hermitian, with an exactly
-    zero imaginary diagonal. Traces of G G^dagger are strictly positive in exact
-    arithmetic; samples that underflow to zero are redrawn.
+    (2, n, n, count) array. The diagonal and upper triangle of G G^dagger are
+    summed into contiguous Re and Im planes, (2, n, n, count), each one row of G
+    against itself and the rows below it; the trace adds the Re plane's diagonal
+    in index order. Only the diagonal and upper triangle are divided by it: the
+    lower triangle is their conjugate, which IEEE division's sign symmetry makes
+    the quotient of the conjugate. The result is therefore exactly Hermitian,
+    with an imaginary diagonal of +0.0. Traces of G G^dagger are strictly
+    positive in exact arithmetic; samples that underflow to zero are redrawn.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -169,28 +177,39 @@ def sample_density_batch(n: int, count: int, rng: np.random.Generator) -> np.nda
         raise ValueError("count must be non-negative")
 
     def build(rows: int) -> np.ndarray:
-        """G G^dagger for ``rows`` fresh draws of G, summed in real arithmetic with the samples last."""
+        """(rows, 2, n, n) view of G G^dagger's upper-triangle Re and Im planes, for ``rows`` fresh draws of G."""
         z = rng.standard_normal((2, n, n, rows))
         if rows == 1:  # einsum drops a length-1 sample axis and sums in another order; a zero partner does not
             z = np.concatenate((z, np.zeros_like(z)), axis=-1)
         x, y = z
-        gram = np.empty(z.shape[1:], dtype=complex)
-        re, im = gram.real, gram.imag
+        # contiguous outputs: einsum sums into strided ones through its generic loop, at half the speed
+        planes = np.empty(z.shape)
+        re, im = planes
         for i in range(n):
             np.einsum("pjs,pjs->s", z[:, i], z[:, i], out=re[i, i])
-            im[i, i] = 0.0
             # row i against rows k > i: Re = x_i.x_k + y_i.y_k, Im = y_i.x_k - x_i.y_k
             np.einsum("pjs,pkjs->ks", z[:, i], z[:, i + 1 :], out=re[i, i + 1 :])
             np.einsum("js,kjs->ks", y[i], x[i + 1 :], out=im[i, i + 1 :])
             im[i, i + 1 :] -= np.einsum("js,kjs->ks", x[i], y[i + 1 :])
-            np.conjugate(gram[i, i + 1 :], out=gram[i + 1 :, i])
-        return gram.transpose(2, 0, 1)[:rows]
+        return planes.transpose(3, 0, 1, 2)[:rows]
 
-    gram = build(count)
-    traces = _redraw_underflowed(gram, lambda g: np.einsum("sii->s", g).real, build)[:, None, None]
-    np.divide(gram.real, traces, out=gram.real)
-    np.divide(gram.imag, traces, out=gram.imag)
-    return gram
+    def trace(planes: np.ndarray) -> np.ndarray:
+        """The Re plane's diagonal added in index order, as einsum("sii->s") adds it."""
+        total = planes[:, 0, 0, 0].copy()
+        for i in range(1, n):
+            total += planes[:, 0, i, i]
+        return total
+
+    planes = build(count)
+    traces = _redraw_underflowed(planes, trace, build)
+    re, im = planes.transpose(1, 2, 3, 0)
+    rho = np.empty((n, n, count), dtype=complex)
+    for i in range(n):
+        np.divide(re[i, i:], traces, out=rho.real[i, i:])
+        rho.imag[i, i] = 0.0
+        np.divide(im[i, i + 1 :], traces, out=rho.imag[i, i + 1 :])
+        np.conjugate(rho[i, i + 1 :], out=rho[i + 1 :, i])
+    return rho.transpose(2, 0, 1)
 
 
 def _entry_product(spec: EntryMomentSpec, batch: np.ndarray) -> np.ndarray:
@@ -243,21 +262,26 @@ def estimate_mgf(
     """Sample mean of the series sum_{k <= truncation} t^k / k! at t = tr(A rho), by Horner's rule.
 
     ``a`` must be Hermitian to within 1e-12 per entry. The mean's expectation is exactly the target
-    sum_k ``mgf_coefficient(k, a)``, so no truncation bias limits ``a``.
+    sum_k ``mgf_coefficient(k, a)``, so no truncation bias limits ``a``. A truncation above 170,
+    where k! no longer converts to a float weight 1/k!, is refused before any draw.
     """
     (a,), n = quantum._validated_observables([a])
     if not np.allclose(a, a.conj().T, rtol=0, atol=1e-12):
         raise ValueError("a must be Hermitian")
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
+    try:  # Horner's weights, computed before any draw
+        weights = [1.0 / math.factorial(k) for k in range(truncation + 1)]
+    except OverflowError as exc:
+        raise ValueError(f"truncation {truncation} is above 170: k! past 170 does not convert to a float") from exc
     series = sum(mgf_coefficient(k, a) for k in range(truncation + 1))
 
     def consume(batch: np.ndarray) -> np.ndarray:
         # t = Re tr(A rho), with Re(A_ij rho_ji) = Re A_ij Re rho_ji - Im A_ij Im rho_ji
         t = np.einsum("ij,sji->s", a.real, batch.real) - np.einsum("ij,sji->s", a.imag, batch.imag)
-        value = np.full(len(t), 1.0 / math.factorial(truncation))
+        value = np.full(len(t), weights[truncation])
         for k in range(truncation - 1, -1, -1):
-            value = value * t + 1.0 / math.factorial(k)
+            value = value * t + weights[k]
         return value
 
     return _estimate(partial(sample_density_batch, n), n * n, [consume], [series], samples, seed, workers)[0]

@@ -9,7 +9,9 @@ subset engine did before it became one pass, over subsets in increasing
 order of mask, as it did before it went layer by layer, and layer by layer in
 |S| from a plan keyed by K, as it did before it went over content vectors),
 dimension-weighted character sums go over irreps as in the paper, density
-matrices are the complex Gram product G G^H of one einsum, and integrals go
+matrices are the complex Gram product G G^H of one einsum, and, bit for bit,
+sums into the strided parts of one complex Gram array, as the sampler made
+them before it summed into contiguous planes, and integrals go
 through scipy quadrature in the tests themselves. The S_K classes, the dimension-weighted coefficients and the
 set partitions behind ``omega_expand`` are also built the way the library built
 them before each became one pass: sorted partitions, |class| * N^cycles / K!,
@@ -496,3 +498,37 @@ def density_oracle(z):
     g = np.moveaxis(z[0] + 1j * z[1], -1, 0)
     gram = np.einsum("sij,skj->sik", g, g.conj())
     return gram / np.einsum("sii->s", gram).real[:, None, None]
+
+
+def strided_density_batch(n, count, rng):
+    """(count, n, n) flat-ensemble stack from ``rng``, by the sampler's kernel before it summed into planes.
+
+    Each einsum sums into the strided real and imaginary views of one complex
+    Gram array, the lower triangle is conjugated before the division, and every
+    entry is divided by the trace; samples whose trace is below 1e-300 are
+    redrawn together, in sample order.
+    """
+
+    def build(rows):
+        z = rng.standard_normal((2, n, n, rows))
+        if rows == 1:
+            z = np.concatenate((z, np.zeros_like(z)), axis=-1)
+        x, y = z
+        gram = np.empty(z.shape[1:], dtype=complex)
+        re, im = gram.real, gram.imag
+        for i in range(n):
+            np.einsum("pjs,pjs->s", z[:, i], z[:, i], out=re[i, i])
+            im[i, i] = 0.0
+            np.einsum("pjs,pkjs->ks", z[:, i], z[:, i + 1 :], out=re[i, i + 1 :])
+            np.einsum("js,kjs->ks", y[i], x[i + 1 :], out=im[i, i + 1 :])
+            im[i, i + 1 :] -= np.einsum("js,kjs->ks", x[i], y[i + 1 :])
+            np.conjugate(gram[i, i + 1 :], out=gram[i + 1 :, i])
+        return gram.transpose(2, 0, 1)[:rows]
+
+    gram = build(count)
+    while (bad := np.einsum("sii->s", gram).real < 1e-300).any():
+        gram[bad] = build(int(bad.sum()))
+    traces = np.einsum("sii->s", gram).real[:, None, None]
+    np.divide(gram.real, traces, out=gram.real)
+    np.divide(gram.imag, traces, out=gram.imag)
+    return gram

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import density_oracle
+from oracles import density_oracle, strided_density_batch
 from rho_moments import montecarlo, verify
 from rho_moments.montecarlo import (
     MIN_SAMPLES,
@@ -86,6 +86,27 @@ class TestSampleDensity:
         batch = sample_density_batch(n, 2000, Replay(z))
         # each trace is 1, so this bound is relative to the matrix scale
         assert float(np.abs(batch - density_oracle(z)).max()) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_the_strided_kernel_bytewise(self, n):
+        # the plane sums, the column-add trace and the upper-triangle division keep every bit
+        chunk = max(1, montecarlo._CHUNK_ENTRIES // (n * n))
+        rng = np.random.default_rng(500 + n)
+        for rows in (1, 2, 9, chunk - 1, chunk):
+            z = rng.standard_normal((2, n, n, rows))
+            got = sample_density_batch(n, rows, Replay(z)).tobytes()
+            assert (rows, got) == (rows, strided_density_batch(n, rows, Replay(z)).tobytes())
+
+    @pytest.mark.parametrize("n", (1, 3, 8))
+    def test_redraws_match_the_strided_kernel_bytewise(self, n):
+        rng = np.random.default_rng(600 + n)
+        draws = [rng.standard_normal((2, n, n, rows)) for rows in (9, 2, 1)]
+        draws[0][..., [0, 4]] = 0.0  # samples 0 and 4 underflow,
+        draws[1][..., 0] = 0.0  # and sample 0's first redraw does too, so it is drawn alone
+        replay = Replay(*draws)
+        batch = sample_density_batch(n, 9, replay)
+        assert replay.draws == []
+        assert batch.tobytes() == strided_density_batch(n, 9, Replay(*draws)).tobytes()
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_is_exactly_hermitian(self, n):
@@ -443,6 +464,15 @@ class TestEstimateMgf:
         report = estimate_mgf(a, 4, 200_000, seed=3)
         assert report.exact_value == sum(mgf_coefficient(k, a) for k in range(5))
         assert report.z_score <= 4.0
+
+    def test_truncation_past_the_float_range_is_refused_before_drawing(self, monkeypatch):
+        # 171! does not convert to a float, so its weight 1/171! is refused before any draw
+        def refuse(*args):
+            raise AssertionError("sampled before the truncation was checked")
+
+        monkeypatch.setattr(montecarlo, "sample_density_batch", refuse)
+        with pytest.raises(ValueError, match="truncation 171 is above 170"):
+            estimate_mgf(0.01 * np.eye(2), 171, 1_000, 1)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
