@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
-from .combinat import _naturals, bounded_factorial, bounded_power
+from .combinat import _Frozen, _naturals, bounded_factorial, bounded_power
 
 __all__ = [
     "MIN_SAMPLES",
@@ -40,34 +39,29 @@ def _as_scale(scale) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class SimplexMomentSpec:
+class SimplexMomentSpec(_Frozen):
     """Moment of prod x_b^{nu_b} over the simplex sum(x) = scale."""
 
-    exponents: tuple[int, ...]
-    scale: Fraction = Fraction(1)
+    __slots__ = _fields = ("exponents", "scale")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", _naturals(self.exponents, "exponents"))
-        object.__setattr__(self, "scale", _as_scale(self.scale))
+    def __init__(self, exponents: Iterable[int], scale: Fraction = Fraction(1)):
+        object.__setattr__(self, "exponents", _naturals(exponents, "exponents"))
+        object.__setattr__(self, "scale", _as_scale(scale))
 
     def degree(self) -> int:
         """The combined exponent nu = sum(nu_b) + N_b - 1."""
         return sum(self.exponents) + len(self.exponents) - 1
 
 
-@dataclass(frozen=True)
-class DirichletSpec:
+class DirichletSpec(_Frozen):
     """Moment of prod x_B^{nu_B} * (sum x)^weight_power over sum(x) < scale."""
 
-    exponents: tuple[int, ...]
-    scale: Fraction = Fraction(1)
-    weight_power: int = 0
+    __slots__ = _fields = ("exponents", "scale", "weight_power")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", _naturals(self.exponents, "exponents"))
-        object.__setattr__(self, "scale", _as_scale(self.scale))
-        weight_power = operator.index(self.weight_power)
+    def __init__(self, exponents: Iterable[int], scale: Fraction = Fraction(1), weight_power: int = 0):
+        object.__setattr__(self, "exponents", _naturals(exponents, "exponents"))
+        object.__setattr__(self, "scale", _as_scale(scale))
+        weight_power = operator.index(weight_power)
         if weight_power < 0:
             raise ValueError("weight_power must be a non-negative integer")
         object.__setattr__(self, "weight_power", weight_power)

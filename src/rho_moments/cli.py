@@ -6,23 +6,22 @@ rendered, so they never pass through floating point: JSON encodes each as a
 and markdown print ``str(value)``, that is ``p/q`` followed by ``·(2π)^e``
 when e is not 0. Monte Carlo reports are floats by nature and are attached
 separately. A ``CapExceededError`` from any command, a request past a cap or
-the exact-arithmetic budget, exits 1 with its message. ``montecarlo`` and
-``verify`` load numpy, so only the commands that run them import them.
+the exact-arithmetic budget, exits 1 with its message; a usage error exits 2.
+The exact commands (``tables``, and ``qmoment`` and ``simplex`` without
+``--mc``) load only the standard library and this package: the parser is
+``argparse``, and only the commands that draw samples import ``montecarlo``,
+``verify``, numpy and ``ctypes``.
 """
 
 from __future__ import annotations
 
-import csv
-import ctypes
-import io
-import json
+import argparse
+import codecs
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
-
-import click
+from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
 from . import classical, quantum
 from .characters import (
@@ -44,19 +43,13 @@ __all__ = ["main"]
 
 DEFAULT_TABLE_CAP = 10
 TABLE_COST = "character tables grow with the partition count"
-FORMAT_OPTION = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv", "markdown"]), default="markdown", show_default=True
-)
-MC_OPTION = click.option(
-    "--mc",
-    type=(click.IntRange(min=MIN_SAMPLES), click.IntRange(min=0)),
-    default=None,
-    metavar="SAMPLES SEED",
-    help=f"Attach a Monte Carlo report (SAMPLES >= {MIN_SAMPLES}, SEED >= 0).",
-)
-THREADS_OPTION = click.option(
-    "--threads", type=int, default=os.cpu_count() or 1, help="Worker count (default: the CPU count)."
-)
+DESCRIPTION = "Exact moments of the flat density-matrix ensemble and the simplex."
+SHOW_DEFAULT = "(default: %(default)s)"
+FORMATS = ["json", "csv", "markdown"]
+
+
+class UsageError(Exception):
+    """A bad value found after parsing: exits 2 under the command's usage, as argparse's own errors do."""
 
 
 def pin_allocator() -> None:
@@ -68,8 +61,11 @@ def pin_allocator() -> None:
     One arena lets the worker threads share freed chunks instead of each keeping
     its own. ``verify --suite all --samples 1000000 --threads 2`` then takes ~9k
     minor faults at a ~50 MB peak, against ~220k with the mmap threshold alone.
+    Only the commands that draw samples call it, so only they load ``ctypes``.
     """
     if sys.platform.startswith("linux"):
+        import ctypes
+
         mallopt = getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)
         mallopt(-3, 2 << 20)  # M_MMAP_THRESHOLD
         mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
@@ -92,14 +88,14 @@ def parse_rational(text: str, label: str) -> Fraction:
         check_exact_bits(digits * math.log2(10), label)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.BadParameter(f"{label} must be a rational like 3 or 5/2, got {text!r}") from exc
+        raise UsageError(f"{label} must be a rational like 3 or 5/2, got {text!r}") from exc
 
 
 def parse_exponents(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(piece) for piece in text.split(","))
     except ValueError as exc:
-        raise click.BadParameter(f"--nu must be a comma list of integers, got {text!r}") from exc
+        raise UsageError(f"--nu must be a comma list of integers, got {text!r}") from exc
 
 
 def parse_entry_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -107,13 +103,13 @@ def parse_entry_pairs(text: str) -> tuple[tuple[int, int], ...]:
     for token in text.split():
         bits = token.split(",")
         if len(bits) != 2:
-            raise click.BadParameter(f"each entry must look like i,j; got {token!r}")
+            raise UsageError(f"each entry must look like i,j; got {token!r}")
         try:
             pairs.append((int(bits[0]), int(bits[1])))
         except ValueError as exc:
-            raise click.BadParameter(f"indices must be integers, got {token!r}") from exc
+            raise UsageError(f"indices must be integers, got {token!r}") from exc
     if not pairs:
-        raise click.BadParameter("--entries must name at least one i,j pair")
+        raise UsageError("--entries must name at least one i,j pair")
     return tuple(pairs)
 
 
@@ -129,20 +125,22 @@ def exact_json(value: int | Fraction | ScaledRational) -> dict:
 
 
 def echo_json(doc: dict) -> None:
-    click.echo(json.dumps(doc, indent=2, default=exact_json))
+    import json  # imported by the one format that needs it, as csv is below
+
+    print(json.dumps(doc, indent=2, default=exact_json))
 
 
 def echo_csv(rows: Iterable[Iterable]) -> None:
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    click.echo(buffer.getvalue(), nl=False)
+    import csv
+
+    csv.writer(sys.stdout).writerows(rows)
 
 
 def echo_aligned(pairs: list[tuple[str, str]]) -> None:
     """One ``key  value`` line per pair, the keys padded to one width."""
     width = max(len(key) for key, _ in pairs)
     for key, value in pairs:
-        click.echo(f"{key.ljust(width)}  {value}")
+        print(f"{key.ljust(width)}  {value}")
 
 
 def mc_report_json(report: EstimateReport) -> dict:
@@ -170,10 +168,10 @@ def emit_table(fmt: str, name: str, meta: dict, columns: list[str], rows: list[l
         return
     widths = [max(len(r[i]) for r in text_rows) for i in range(len(columns))]
     header, *body = text_rows
-    click.echo("| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |")
-    click.echo("|" + "|".join("-" * (w + 2) for w in widths) + "|")
+    print("| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |")
+    print("|" + "|".join("-" * (w + 2) for w in widths) + "|")
     for row in body:
-        click.echo("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
+        print("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
 
 
 def flatten(node, prefix: str = ""):
@@ -197,44 +195,15 @@ def emit_query(fmt: str, doc: dict) -> None:
 
 def warn_raised_cap(cap: int, default: int, cost: str) -> None:
     if cap > default:
-        click.echo(f"warning: cap raised above {default}; {cost}", err=True)
+        print(f"warning: cap raised above {default}; {cost}", file=sys.stderr)
 
 
-class ResourceLimitGroup(click.Group):
-    """Ends every command that raises ``CapExceededError`` with exit 1 and the error's message."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except CapExceededError as exc:
-            raise click.ClickException(str(exc)) from exc
-
-
-@click.group(cls=ResourceLimitGroup)
-def main() -> None:
-    """Exact moments of the flat density-matrix ensemble and the simplex."""
-    # Exact values print in full, their size bounded by the budget in ``combinat``;
-    # Python before 3.10.7 has no int-to-str digit limit to lift.
-    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)
-    pin_allocator()
-
-
-@main.command("tables")
-@click.argument(
-    "which", type=click.Choice(["sym-chars", "unitary-chars", "dims", "dim-char-sum"])
-)
-@click.option("--k", required=True, type=int, help="Number of boxes K.")
-@click.option(
-    "--n", type=click.IntRange(min=1), default=None, help="Matrix dimension N (dims, dim-char-sum)."
-)
-@FORMAT_OPTION
-@click.option("--cap-k", type=click.IntRange(min=0), default=DEFAULT_TABLE_CAP, show_default=True)
 def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
     """Print character/dimension tables; K <= 4 reproduces the reference tables."""
     if k < 0 or (which != "dim-char-sum" and k < 1):
-        raise click.BadParameter("k must be positive (dim-char-sum allows 0)")
+        raise UsageError("k must be positive (dim-char-sum allows 0)")
     if n is not None and which in ("sym-chars", "unitary-chars"):
-        raise click.BadParameter(f"--n does not apply to {which}")
+        raise UsageError(f"--n does not apply to {which}")
     check_cap(k, cap_k, TABLE_COST)
     warn_raised_cap(cap_k, DEFAULT_TABLE_CAP, TABLE_COST)
     if n is not None:
@@ -258,7 +227,7 @@ def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
         emit_table(fmt, "unitary-chars", {"k": k}, columns, rows)
     elif which == "dims":
         if n is None:
-            raise click.BadParameter("--n is required for dims")
+            raise UsageError("--n is required for dims")
         columns = ["irrep", "dim"]
         rows = [[str(irrep), weyl_dim(irrep, n)] for irrep in enumerate_partitions(k)]
         emit_table(fmt, "dims", {"k": k, "n": n}, columns, rows)
@@ -271,15 +240,9 @@ def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
         emit_table(fmt, "dim-char-sum", {"k": k, "n": n}, columns, rows)
 
 
-@main.command("simplex")
-@click.option("--nu", required=True, help="Comma list of non-negative exponents.")
-@click.option("--lambda", "lam", default="1", show_default=True, help="Scale as a rational.")
-@click.option("--dirichlet", is_flag=True, help="Open-region Dirichlet integral instead.")
-@click.option("--f-power", type=int, default=0, show_default=True, help="Weight power m in f(t)=t^m (Dirichlet only).")
-@MC_OPTION
-@THREADS_OPTION
-@FORMAT_OPTION
-def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
+def cmd_simplex(
+    nu: str, lam: str, dirichlet: bool, f_power: int, mc: tuple[int, int] | None, threads: int, fmt: str
+) -> None:
     """Exact simplex/Dirichlet moment for the given exponents and scale."""
     exponents = parse_exponents(nu)
     scale = parse_rational(lam, "--lambda")
@@ -289,11 +252,11 @@ def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
             exact = classical.dirichlet_moment(spec)
         else:
             if f_power:
-                raise click.BadParameter("--f-power needs --dirichlet")
+                raise UsageError("--f-power needs --dirichlet")
             spec = SimplexMomentSpec(exponents, scale)
             exact = classical.simplex_moment(spec)
     except ValueError as exc:
-        raise click.BadParameter(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
     doc = {
         "query": {
@@ -305,6 +268,7 @@ def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
         "exact_value": exact,
     }
     if mc is not None:
+        pin_allocator()
         from . import montecarlo
 
         samples, seed = mc
@@ -312,25 +276,18 @@ def cmd_simplex(nu, lam, dirichlet, f_power, mc, threads, fmt) -> None:
         try:
             report = estimate(spec, samples, seed, workers=threads)
         except ValueError as exc:
-            raise click.BadParameter(str(exc), param_hint="'--mc'") from exc
+            raise UsageError(f"argument --mc: {exc}") from exc
         doc["mc_report"] = mc_report_json(report)
     emit_query(fmt, doc)
 
 
-@main.command("qmoment")
-@click.option("--n", required=True, type=int, help="Matrix dimension N.")
-@click.option("--entries", required=True, help='Index pairs like "1,1 1,2" (1-based).')
-@MC_OPTION
-@THREADS_OPTION
-@click.option("--cap-k", type=click.IntRange(min=0), default=DEFAULT_BOX_CAP, show_default=True)
-@FORMAT_OPTION
-def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
+def cmd_qmoment(n: int, entries: str, mc: tuple[int, int] | None, threads: int, cap_k: int, fmt: str) -> None:
     """Exact mean of a product of density-matrix entries."""
     pairs = parse_entry_pairs(entries)
     try:
         spec = EntryMomentSpec(n, pairs)
     except ValueError as exc:
-        raise click.BadParameter(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     warn_raised_cap(cap_k, DEFAULT_BOX_CAP, PERMUTATION_SUM_COST)
     exact = quantum.entry_moment(spec, max_boxes=cap_k)
     doc = {
@@ -339,6 +296,7 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
         "raw_value": quantum.hs_volume(n) * exact,
     }
     if mc is not None:
+        pin_allocator()
         from . import montecarlo
 
         samples, seed = mc
@@ -347,22 +305,9 @@ def cmd_qmoment(n, entries, mc, threads, cap_k, fmt) -> None:
     emit_query(fmt, doc)
 
 
-@main.command("verify")
-@click.option(
-    "--suite",
-    type=click.Choice(["classical", "quantum", "sampler", "all"]),
-    default="all",
-    show_default=True,
-)
-@click.option(
-    "--samples", type=click.IntRange(min=MIN_SAMPLES), default=100000, show_default=True
-)
-@click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
-@THREADS_OPTION
-@FORMAT_OPTION
-@click.pass_context
-def cmd_verify(ctx, suite, samples, seed, threads, fmt) -> None:
+def cmd_verify(suite: str, samples: int, seed: int, threads: int, fmt: str) -> int:
     """Run the self-check suites; exit 0 only if every check passes."""
+    pin_allocator()
     from . import verify
 
     results = verify.run_suite(suite, samples, seed, threads)
@@ -377,12 +322,116 @@ def cmd_verify(ctx, suite, samples, seed, threads, fmt) -> None:
         echo_csv([["check", "passed", "detail"], *rows])
     else:
         echo_aligned([(name, f"{status}  {detail}") for name, status, detail in rows])
-        click.echo(
+        print(
             f"{sum(r.passed for r in results)}/{len(results)} checks passed "
             f"(suite={suite}, samples={samples}, seed={seed})"
         )
-    if not all_passed:
-        ctx.exit(1)
+    return 0 if all_passed else 1
+
+
+def int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
+class MonteCarloOption(argparse.Action):
+    """``--mc SAMPLES SEED``, its ranges checked while parsing, before any command runs, as every range is."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        samples, seed = values
+        if samples < MIN_SAMPLES or seed < 0:
+            raise argparse.ArgumentError(self, f"needs SAMPLES >= {MIN_SAMPLES} and SEED >= 0, got {samples} {seed}")
+        setattr(namespace, self.dest, (samples, seed))
+
+
+def build_parser(prog: str) -> argparse.ArgumentParser:
+    """The parser; each command's parser sets ``run``, the command's function, and ``command_parser``, itself."""
+    # allow_abbrev=False throughout: an abbreviation such as --en for --entries is refused
+    parser = argparse.ArgumentParser(prog=prog, description=DESCRIPTION, allow_abbrev=False)
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(name: str, run: Callable) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run, command_parser=sub)
+        return sub
+
+    tables = command("tables", cmd_tables)
+    tables.add_argument("which", choices=["sym-chars", "unitary-chars", "dims", "dim-char-sum"])
+    tables.add_argument("--k", required=True, type=int, help="Number of boxes K.")
+    tables.add_argument("--n", type=int_at_least(1), help="Matrix dimension N (dims, dim-char-sum).")
+    tables.add_argument("--cap-k", type=int_at_least(0), default=DEFAULT_TABLE_CAP, help=SHOW_DEFAULT)
+    simplex = command("simplex", cmd_simplex)
+    simplex.add_argument("--nu", required=True, help="Comma list of non-negative exponents.")
+    simplex.add_argument(
+        "--lambda", dest="lam", default="1", metavar="LAMBDA", help="Scale as a rational. " + SHOW_DEFAULT
+    )
+    simplex.add_argument("--dirichlet", action="store_true", help="Open-region Dirichlet integral instead.")
+    simplex.add_argument(
+        "--f-power", type=int, default=0, help="Weight power m in f(t)=t^m (Dirichlet only). " + SHOW_DEFAULT
+    )
+    qmoment = command("qmoment", cmd_qmoment)
+    qmoment.add_argument("--n", required=True, type=int, help="Matrix dimension N.")
+    qmoment.add_argument("--entries", required=True, help='Index pairs like "1,1 1,2" (1-based).')
+    qmoment.add_argument("--cap-k", type=int_at_least(0), default=DEFAULT_BOX_CAP, help=SHOW_DEFAULT)
+    verify = command("verify", cmd_verify)
+    verify.add_argument("--suite", choices=["classical", "quantum", "sampler", "all"], default="all", help=SHOW_DEFAULT)
+    verify.add_argument("--samples", type=int_at_least(MIN_SAMPLES), default=100000, help=SHOW_DEFAULT)
+    verify.add_argument("--seed", type=int_at_least(0), default=1, help=SHOW_DEFAULT)
+    for sub in (simplex, qmoment):
+        sub.add_argument(
+            "--mc", nargs=2, type=int, action=MonteCarloOption, metavar=("SAMPLES", "SEED"),
+            help=f"Attach a Monte Carlo report (SAMPLES >= {MIN_SAMPLES}, SEED >= 0).",
+        )
+    for sub in (simplex, qmoment, verify):
+        sub.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="Worker count (default: CPU count).")
+    for sub in (tables, simplex, qmoment, verify):
+        sub.add_argument("--format", dest="fmt", choices=FORMATS, default="markdown", help=SHOW_DEFAULT)
+    return parser
+
+
+def main(args: Sequence[str] | None = None, prog_name: str = "rho-moments") -> NoReturn:
+    """Parse ``args`` (by default ``sys.argv[1:]``), run the command, and exit with its code.
+
+    The code is 0, 1 (a failed check or a resource limit) or 2 (a usage error),
+    raised as ``SystemExit``. ``main.main(args=..., prog_name=...)`` is this same
+    function: the form ``click.testing.CliRunner`` and ``benchmarks/launcher.py`` call.
+    """
+    # Exact values print in full, their size bounded by the budget in ``combinat``;
+    # Python before 3.10.7 has no int-to-str digit limit to lift. It is lifted
+    # before parsing, so the budget, not int(), refuses a long --n, with exit 1.
+    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)
+    if codecs.lookup(sys.stdout.encoding).name == "ascii":
+        sys.stdout.reconfigure(encoding="utf-8")  # as click did, so "·(2π)^e" prints under an ASCII locale
+    options = vars(build_parser(prog_name).parse_args(args))
+    run, command_parser = options.pop("run"), options.pop("command_parser")
+    try:
+        code = run(**options) or 0
+        sys.stdout.flush()  # a reader that left shows here, as BrokenPipeError
+    except UsageError as exc:
+        command_parser.error(str(exc))
+    except CapExceededError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 1
+    except BrokenPipeError:
+        # nothing more can be shown: point stdout at /dev/null, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    except KeyboardInterrupt:
+        print("Aborted!", file=sys.stderr)
+        code = 1
+    raise SystemExit(code)
+
+
+main.name = "rho-moments"
+main.main = main
 
 
 if __name__ == "__main__":

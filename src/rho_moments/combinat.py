@@ -41,6 +41,44 @@ def _naturals(values: Iterable[int], name: str) -> tuple[int, ...]:
     return out
 
 
+class _Frozen:
+    """Base of a value type whose fields, named in ``_fields``, are its slots, set once in ``__init__``.
+
+    ``__init__`` sets each field with ``object.__setattr__``; any later assignment
+    raises ``AttributeError``. Equality, hashing and the ``Name(field=value, ...)``
+    repr read the fields in order, as a frozen dataclass's do, and a copy or
+    pickle calls the constructor with them, positionally. A subclass inherits
+    ``_fields``, so it may declare empty ``__slots__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def _without_trailing_zeros(values: Iterable[int]) -> tuple[int, ...]:
     """The values as a tuple, trailing zeros popped from a list in linear time."""
     out = list(values)

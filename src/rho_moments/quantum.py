@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, permutations, product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .combinat import (
-    CycleType, _naturals, bounded_factorial, check_cap, class_order, lower_triangle_count, super_factorial, vandermonde,
+    CycleType, _Frozen, _naturals, bounded_factorial, check_cap, class_order, lower_triangle_count, super_factorial,
+    vandermonde,
 )
 
 __all__ = [
@@ -62,17 +62,16 @@ DEFAULT_BOX_CAP = 8
 PERMUTATION_SUM_COST = "the permutation sum costs up to (K-1)*2^(K-2)+1 chain steps, fewer when inputs repeat"
 
 
-@dataclass(frozen=True)
-class ScaledRational:
+class ScaledRational(_Frozen):
     """An exact rational times an integer power of 2*pi."""
 
-    rational: Fraction
-    twopi_exponent: int = 0
+    __slots__ = _fields = ("rational", "twopi_exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rational", Fraction(self.rational))
-        exponent = operator.index(self.twopi_exponent)
-        object.__setattr__(self, "twopi_exponent", exponent if self.rational else 0)
+    def __init__(self, rational: Fraction, twopi_exponent: int = 0):
+        rational = Fraction(rational)
+        exponent = operator.index(twopi_exponent)
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "twopi_exponent", exponent if rational else 0)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -85,18 +84,16 @@ class ScaledRational:
         return f"{self.rational}·(2π)^{self.twopi_exponent}"
 
 
-@dataclass(frozen=True)
-class EntryMomentSpec:
+class EntryMomentSpec(_Frozen):
     """Mean of a product of matrix entries rho[i_p, j_p], indices 1-based."""
 
-    dimension: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("dimension", "pairs")
 
-    def __post_init__(self):
-        n = operator.index(self.dimension)
+    def __init__(self, dimension: int, pairs: Iterable[tuple[int, int]]):
+        n = operator.index(dimension)
         if n < 1:
             raise ValueError("dimension must be positive")
-        pairs = tuple((operator.index(i), operator.index(j)) for i, j in self.pairs)
+        pairs = tuple((operator.index(i), operator.index(j)) for i, j in pairs)
         if not pairs:
             raise ValueError("at least one index pair is required")
         for i, j in pairs:

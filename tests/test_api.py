@@ -1,5 +1,7 @@
 import ast
+import copy
 import importlib
+import pickle
 import pkgutil
 from fractions import Fraction
 from pathlib import Path
@@ -147,3 +149,68 @@ def test_integer_inputs_take_numpy_integers():
     assert ScaledRational(Fraction(1, 2), i(3)).twopi_exponent == 3
     assert simplex_moment(SimplexMomentSpec((i(2), i(0), i(1)))) == Fraction(1, 60)
     assert dirichlet_moment(DirichletSpec((i(1),), 1, i(1))) == dirichlet_moment(DirichletSpec((1,), 1, 1))
+
+
+# The exact-path value types: each built twice, positionally and by keyword, then a different value,
+# with the repr of the first.
+VALUE_TYPES = {
+    "SimplexMomentSpec": (
+        lambda: SimplexMomentSpec((2, 0, 1), Fraction(3, 2)),
+        lambda: SimplexMomentSpec(exponents=[2, 0, 1], scale="3/2"),
+        lambda: SimplexMomentSpec((2, 0, 1)),
+        "SimplexMomentSpec(exponents=(2, 0, 1), scale=Fraction(3, 2))",
+    ),
+    "DirichletSpec": (
+        lambda: DirichletSpec((1, 0), 2, 3),
+        lambda: DirichletSpec(exponents=(1, 0), scale=Fraction(2), weight_power=3),
+        lambda: DirichletSpec((1, 0), 2),
+        "DirichletSpec(exponents=(1, 0), scale=Fraction(2, 1), weight_power=3)",
+    ),
+    "ScaledRational": (
+        lambda: ScaledRational(Fraction(1, 60), 1),
+        lambda: ScaledRational(rational=Fraction(2, 120), twopi_exponent=1),
+        lambda: ScaledRational(Fraction(1, 60)),
+        "ScaledRational(rational=Fraction(1, 60), twopi_exponent=1)",
+    ),
+    "EntryMomentSpec": (
+        lambda: EntryMomentSpec(2, ((1, 2), (2, 1))),
+        lambda: EntryMomentSpec(dimension=2, pairs=[[1, 2], [2, 1]]),
+        lambda: EntryMomentSpec(2, ((2, 1), (1, 2))),
+        "EntryMomentSpec(dimension=2, pairs=((1, 2), (2, 1)))",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, same, other, text", VALUE_TYPES.values(), ids=VALUE_TYPES)
+def test_value_types_compare_hash_and_print_by_field(build, same, other, text):
+    value = build()
+    assert repr(value) == text
+    assert value == same() and hash(value) == hash(same()) and len({value, same()}) == 1
+    assert value != other() and len({value, other()}) == 2
+    assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize("build, same, other, text", VALUE_TYPES.values(), ids=VALUE_TYPES)
+def test_value_types_are_read_only(build, same, other, text):
+    value = build()
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(other(), field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == text
+
+
+def test_value_types_of_equal_fields_differ_by_type():
+    # a frozen dataclass's equality: the classes must match, not only the fields
+    class Subclass(SimplexMomentSpec):
+        __slots__ = ()
+
+    assert Subclass((1, 2)) != SimplexMomentSpec((1, 2)) and SimplexMomentSpec((1, 2)) != Subclass((1, 2))
+    # but a subclass keeps the fields: equal to, hashed and printed like its own kind
+    assert Subclass((1, 2)) == Subclass((1, 2)) and hash(Subclass((1, 2))) == hash(SimplexMomentSpec((1, 2)))
+    assert repr(Subclass((1, 2))).endswith(".Subclass(exponents=(1, 2), scale=Fraction(1, 1))")
+    assert SimplexMomentSpec((1, 2)) != DirichletSpec((1, 2))
+    assert ScaledRational(Fraction(1, 2)) != Fraction(1, 2)

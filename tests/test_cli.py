@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -577,6 +578,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 class TestPinAllocator:
     def test_every_command_pins_it(self, runner, monkeypatch):
+        # every command that draws samples: verify here, --mc below; the exact commands pin nothing
         import rho_moments.cli
 
         calls = []
@@ -584,6 +586,25 @@ class TestPinAllocator:
         result = runner.invoke(main, ["verify", "--suite", "classical", "--samples", "100"])
         assert result.exit_code in (0, 1), result.output
         assert calls == [1]
+
+    @pytest.mark.parametrize(
+        "argv, pins",
+        [
+            (["tables", "sym-chars", "--k", "3"], 0),
+            (["qmoment", "--n", "2", "--entries", "1,2 2,1"], 0),
+            (["simplex", "--nu", "2,0,1"], 0),
+            (["qmoment", "--n", "2", "--entries", "1,2 2,1", "--mc", "100", "1", "--threads", "1"], 1),
+            (["simplex", "--nu", "2,0,1", "--mc", "100", "1", "--threads", "1"], 1),
+        ],
+    )
+    def test_only_sampling_commands_pin_it(self, runner, monkeypatch, argv, pins):
+        import rho_moments.cli
+
+        calls = []
+        monkeypatch.setattr(rho_moments.cli, "pin_allocator", lambda: calls.append(1))
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        assert len(calls) == pins
 
     def test_sets_three_glibc_options(self, monkeypatch):
         import rho_moments.cli
@@ -595,7 +616,7 @@ class TestPinAllocator:
                 calls.append((param, value))
 
         monkeypatch.setattr(rho_moments.cli.sys, "platform", "linux")
-        monkeypatch.setattr(rho_moments.cli.ctypes, "CDLL", lambda name: FakeLibc())
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc())
         rho_moments.cli.pin_allocator()
         # M_MMAP_THRESHOLD 2 MiB, M_TRIM_THRESHOLD 8 MiB, M_ARENA_MAX 1
         assert calls == [(-3, 2 << 20), (-1, 8 << 20), (-8, 1)]
@@ -604,14 +625,14 @@ class TestPinAllocator:
         import rho_moments.cli
 
         monkeypatch.setattr(rho_moments.cli.sys, "platform", "linux")
-        monkeypatch.setattr(rho_moments.cli.ctypes, "CDLL", lambda name: object())
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
         rho_moments.cli.pin_allocator()
 
     def test_other_platforms_untouched(self, monkeypatch):
         import rho_moments.cli
 
         monkeypatch.setattr(rho_moments.cli.sys, "platform", "darwin")
-        monkeypatch.setattr(rho_moments.cli.ctypes, "CDLL", lambda name: pytest.fail("libc opened"))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: pytest.fail("libc opened"))
         rho_moments.cli.pin_allocator()
 
     @pytest.mark.skipif(
@@ -639,6 +660,11 @@ class TestPinAllocator:
         ["qmoment", "--n", "2", "--entries", "1,1", "--cap-k", "-1"],
         ["tables", "sym-chars", "--k", "3", "--n", "5"],
         ["tables", "unitary-chars", "--k", "3", "--n", "5"],
+        ["simplex", "--nu", "-1,2"],
+        ["qmoment", "--n", "2", "--entries", "-1,2"],
+        ["qmoment", "--n", "2", "--en", "1,2"],
+        [],
+        ["bogus"],
     ],
 )
 def test_bad_input_is_usage_error(runner, argv):
@@ -741,7 +767,11 @@ for argv in (
     "simplex --nu 2,0,1 --mc 1000 1 --threads 1",
     "verify --suite all --samples 1000 --seed 1 --threads 1",
 ):
-    assert main(shlex.split(argv), standalone_mode=False) in (None, 0), argv
+    try:
+        main.main(args=shlex.split(argv))
+    except SystemExit as done:
+        code = done.code
+    assert code == 0, argv
     loaded = [name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None]
     assert not loaded, (argv, loaded)
 """
@@ -752,6 +782,16 @@ def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
     package_root = str(Path(rho_moments.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_ascii_stdout_prints_the_twopi_power_in_utf8():
+    # click wrote UTF-8 to a stdout that claims ASCII; the argparse CLI keeps that, not a UnicodeEncodeError
+    package_root = str(Path(rho_moments.__file__).parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=package_root)
+    argv = [sys.executable, "-m", "rho_moments.cli", "qmoment", "--n", "2", "--entries", "1,2 2,1"]
+    done = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (FIXTURES / "qmoment_offdiag.md").read_bytes()
 
 
 def test_no_command_loads_scipy():
@@ -767,7 +807,11 @@ from rho_moments.cli import main
 
 assert "numpy" not in sys.modules, "import rho_moments loaded numpy"
 for argv in sys.argv[1:]:
-    assert main(shlex.split(argv), standalone_mode=False) in (None, 0), argv
+    try:
+        main.main(args=shlex.split(argv))
+    except SystemExit as done:
+        code = done.code
+    assert code == 0, argv
 print("numpy" in sys.modules)
 """
 
@@ -778,6 +822,51 @@ EXACT_COMMANDS = (
     "simplex --nu 2,0,1 --lambda 1",
     "simplex --nu 2,0 --dirichlet --f-power 1",
 )
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["tables", "sym-chars", "--k", "3"], 0, ""),
+        (["tables", "sym-chars", "--k", "11"], 1, "Error: K = 11 exceeds the cap of 10; "),
+        (["tables", "sym-chars", "--k", "x"], 2, "usage: rho-moments tables "),
+    ],
+    ids=["good", "capped", "bad"],
+)
+def test_main_main_exits_with_the_command_code(capsys, monkeypatch, argv, code, stderr):
+    # the launcher contract: main.main(args=..., prog_name=...) raises SystemExit(code), and
+    # main() reads sys.argv[1:], as the console script calls it
+    assert main.name == "rho-moments"
+    with pytest.raises(SystemExit) as done:
+        main.main(args=argv, prog_name="rho-moments")
+    assert done.value.code == code
+    assert capsys.readouterr().err.startswith(stderr)
+    monkeypatch.setattr(sys, "argv", ["rho-moments", *argv])
+    with pytest.raises(SystemExit) as done:
+        main()
+    assert done.value.code == code
+
+
+COLD_PATH_SCRIPT = """
+import shlex
+import sys
+from rho_moments.cli import main
+
+for argv in sys.argv[1:]:
+    try:
+        main.main(args=shlex.split(argv))
+    except SystemExit as done:
+        code = done.code
+    assert code == 0, argv
+print(sorted(name for name in ("click", "dataclasses", "inspect", "ctypes") if name in sys.modules))
+"""
+
+
+def test_exact_commands_load_only_the_standard_library():
+    # the slow-to-import modules the exact commands no longer load: click, dataclasses (and with it inspect), ctypes
+    done = run_fresh(COLD_PATH_SCRIPT, *EXACT_COMMANDS)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(

@@ -253,6 +253,14 @@ def test_simplex_targets_beyond_float_range_are_value_errors(estimate, spec):
         estimate(spec, MIN_SAMPLES, seed=1)
 
 
+def test_float_targets_refuse_below_two_to_the_minus_511_only():
+    # 2^-511 itself squares to 2^-1022, the least normal float, so it is the smallest target kept
+    least = Fraction(1, 1 << 511)
+    assert montecarlo._float_targets(least, 1, 0, 0) == (complex(least), 1.0, 1.0)
+    with pytest.raises(ValueError, match="too small for a float z-score"):
+        montecarlo._float_targets(Fraction(1, (1 << 511) + 1), 1, 0, 0)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -446,6 +454,12 @@ class TestEstimateMgf:
         assert report.estimate == 1.0 + 0.0j
         assert report.exact_value == pytest.approx(1.0)
         assert report.z_score == 0.0
+
+    def test_truncation_zero_is_the_constant_one(self):
+        # the series is its k = 0 term alone, 1/0! = 1, whatever the samples
+        report = estimate_mgf(np.diag([0.3, -0.1]), 0, MIN_SAMPLES, seed=3)
+        assert report.estimate == 1.0 and report.exact_value == 1.0
+        assert report.std_error == 0.0 and report.z_score == 0.0
 
     def test_small_diagonal(self):
         report = estimate_mgf(np.diag([0.1, -0.1]), 6, 300_000, seed=31)

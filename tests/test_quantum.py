@@ -305,6 +305,19 @@ class TestOmegaExpand:
         with pytest.raises(CapExceededError, match=r"K = 9 exceeds the cap of 8; K!/z_mu = 40320 distinct"):
             omega_expand(CycleType((0,) * 8 + (1,)), 9)
 
+    def test_default_cap_accepts_eight_boxes(self):
+        # the 8-cycle class at K = 8, the cap itself: 7! = 5040 cycle words
+        expr = omega_expand(CycleType((0,) * 7 + (1,)), 8)
+        assert len(expr.terms) == factorial(7)
+
+    @pytest.mark.parametrize("cap", (0, 1, 3, 8))
+    def test_cap_is_inclusive(self, cap):
+        # the identity class: one word of fixed points, z_mu = K! times
+        expr = omega_expand(CycleType((cap,)), cap, max_boxes=cap)
+        assert expr.terms == {tuple((i,) for i in range(1, cap + 1)): factorial(cap)}
+        with pytest.raises(CapExceededError, match=rf"^K = {cap + 1} exceeds the cap of {cap}; "):
+            omega_expand(CycleType((cap + 1,)), cap + 1, max_boxes=cap)
+
     def test_raised_cap_accepts_nine_fixed_points(self):
         expr = omega_expand(CycleType((9,)), 9, max_boxes=9)
         assert expr.terms == {tuple((i,) for i in range(1, 10)): F(factorial(9))}
