@@ -22,7 +22,7 @@ from functools import cache
 from math import comb
 from typing import Iterable
 
-from .combinat import CycleType, Partition, _without_trailing_zeros, enumerate_cycle_types
+from .combinat import CycleType, Partition, _Frozen, _without_trailing_zeros, enumerate_cycle_types
 
 __all__ = [
     "PowerSumPoly",
@@ -33,20 +33,21 @@ __all__ = [
 ]
 
 
-class PowerSumPoly:
+class PowerSumPoly(_Frozen):
     """Exact-rational polynomial in the power sums t_1, t_2, ...
 
     Monomials are keyed by exponent tuples with trailing zeros stripped:
     ``(2,)`` is t1^2 and ``(1, 0, 1)`` is t1*t3. Only ``unitary_char_poly``
     and ``dim_char_sum`` build one, and the constructor stores their terms as
     given: nonzero Fractions, keyed without trailing zeros. Instances are
-    treated as immutable.
+    read-only and, holding a dict, unhashable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = _fields = ("_terms",)
+    __hash__ = None
 
     def __init__(self, terms: dict[tuple[int, ...], Fraction]):
-        self._terms = terms
+        object.__setattr__(self, "_terms", terms)
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
@@ -55,11 +56,6 @@ class PowerSumPoly:
     def coefficient(self, exponents: Iterable[int]) -> Fraction:
         """The coefficient of t^exponents; trailing zeros, as in a padded ``CycleType.counts``, are ignored."""
         return self._terms.get(_without_trailing_zeros(exponents), Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PowerSumPoly):
-            return self._terms == other._terms
-        return NotImplemented
 
     def __repr__(self) -> str:
         if not self._terms:

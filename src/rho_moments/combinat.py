@@ -42,13 +42,14 @@ def _naturals(values: Iterable[int], name: str) -> tuple[int, ...]:
 
 
 class _Frozen:
-    """Base of a value type whose fields, named in ``_fields``, are its slots, set once in ``__init__``.
+    """Base of every value type: its fields, named in ``_fields``, are its slots, set once in ``__init__``.
 
     ``__init__`` sets each field with ``object.__setattr__``; any later assignment
     raises ``AttributeError``. Equality, hashing and the ``Name(field=value, ...)``
     repr read the fields in order, as a frozen dataclass's do, and a copy or
-    pickle calls the constructor with them, positionally. A subclass inherits
-    ``_fields``, so it may declare empty ``__slots__``.
+    pickle calls the constructor with them, positionally. A type may print
+    itself in its own form, and one holding a dict sets ``__hash__ = None``. A
+    subclass inherits ``_fields``, so it may declare empty ``__slots__``.
     """
 
     __slots__ = ()
@@ -87,14 +88,14 @@ def _without_trailing_zeros(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Partition:
+class Partition(_Frozen):
     """A weakly decreasing tuple of box counts, top row first.
 
     Trailing zero rows are stripped on construction, so equal shapes hash and
     compare equal regardless of padding.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
         clean = _without_trailing_zeros(map(index, parts))
@@ -103,51 +104,39 @@ class Partition:
         for a, b in zip(clean, clean[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing, got {clean}")
-        self._parts = clean
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
+        object.__setattr__(self, "parts", clean)
 
     def boxes(self) -> int:
         """Total number of boxes (the K of a K-box shape)."""
-        return sum(self._parts)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Partition):
-            return self._parts == other._parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
+        return sum(self.parts)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self._parts)})"
+        return f"Partition({list(self.parts)})"
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self._parts) if self._parts else "()"
+        return ",".join(str(p) for p in self.parts) if self.parts else "()"
 
 
-class CycleType:
+class CycleType(_Frozen):
     """Cycle-length multiplicities (i_1, ..., i_K) labelling a class of S_K.
 
     Stores the counts only up to the longest cycle; ``counts`` pads them with
     zeros to K slots, where K = sum(r * i_r), when it is read.
     """
 
-    __slots__ = ("_counts",)
+    __slots__ = _fields = ("_counts",)
 
     def __init__(self, counts: Iterable[int]):
         clean = _without_trailing_zeros(map(index, counts))
         if any(c < 0 for c in clean):
             raise ValueError(f"negative multiplicity in cycle type {clean}")
-        self._counts = clean
+        object.__setattr__(self, "_counts", clean)
 
     @classmethod
     def _checked(cls, counts: tuple[int, ...]) -> CycleType:
         """Wrap non-negative ``counts`` without trailing zeros that the caller has already checked."""
         cycle_type = cls.__new__(cls)
-        cycle_type._counts = counts
+        object.__setattr__(cycle_type, "_counts", counts)
         return cycle_type
 
     @property
@@ -173,14 +162,6 @@ class CycleType:
     def label(self) -> str:
         """Display form like ``1^2,2`` for the class (1^2, 2)."""
         return ",".join(str(r) if c == 1 else f"{r}^{c}" for r, c in enumerate(self._counts, start=1) if c)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CycleType):
-            return self._counts == other._counts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._counts)
 
     def __repr__(self) -> str:
         return f"CycleType({list(self.counts)})"

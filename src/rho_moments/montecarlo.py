@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from typing import Callable, Sequence
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import classical, quantum
 from .classical import MIN_SAMPLES, DirichletSpec, SimplexMomentSpec, _redraw_underflowed, sample_simplex_batch
-from .combinat import MAX_FACTORIAL_ARG
+from .combinat import MAX_FACTORIAL_ARG, _Frozen
 from .errors import CapExceededError
 from .quantum import EntryMomentSpec, mgf_coefficient
 
@@ -67,8 +66,7 @@ _CHUNK_ENTRIES = 1 << 16
 _Draw = Callable[[int, np.random.Generator], np.ndarray]
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(_Frozen):
     """A Monte Carlo estimate next to its exact target.
 
     ``std_error`` is the larger of the real/imaginary component standard
@@ -76,12 +74,13 @@ class EstimateReport:
     standard-error units.
     """
 
-    estimate: complex
-    std_error: float
-    exact_value: complex
-    z_score: float
-    sample_count: int
-    seed: int
+    __slots__ = _fields = ("estimate", "std_error", "exact_value", "z_score", "sample_count", "seed")
+
+    def __init__(
+        self, estimate: complex, std_error: float, exact_value: complex, z_score: float, sample_count: int, seed: int
+    ):
+        for name, value in zip(self._fields, (estimate, std_error, exact_value, z_score, sample_count, seed)):
+            object.__setattr__(self, name, value)
 
 
 def _component(mean: float, m2: float, count: int, exact: float, scale: float) -> tuple[float, float]:

@@ -106,7 +106,7 @@ class EntryMomentSpec(_Frozen):
         return len(self.pairs)
 
 
-class TraceProductExpr:
+class TraceProductExpr(_Frozen):
     """Formal sum of coefficient * products of trace factors.
 
     Each term is a tuple of cycles, each cycle an ordered tuple of 1-based
@@ -117,10 +117,12 @@ class TraceProductExpr:
     them as given.
     """
 
-    __slots__ = ("_order", "_terms")
+    __slots__ = _fields = ("_order", "_terms")
+    __hash__ = None
 
     def __init__(self, order: int, terms: dict[tuple[tuple[int, ...], ...], Fraction]):
-        self._order, self._terms = order, terms
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_terms", terms)
 
     @property
     def terms(self) -> dict[tuple[tuple[int, ...], ...], Fraction]:
@@ -140,11 +142,6 @@ class TraceProductExpr:
             return all(pairs[a - 1][1] == pairs[b - 1][0] for a, b in zip(cycle, following))
 
         return sum((c for term, c in self._terms.items() if all(map(closes, term))), Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TraceProductExpr):
-            return self._order == other._order and self._terms == other._terms
-        return NotImplemented
 
     def __repr__(self) -> str:
         pieces = []

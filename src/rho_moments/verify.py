@@ -11,7 +11,6 @@ between suites, so a check prints the same line alone or under ``all``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, permutations, product
@@ -22,7 +21,7 @@ import numpy as np
 from . import classical, montecarlo, quantum
 from .characters import dim_char_sum, unitary_char_poly, weyl_dim
 from .classical import DirichletSpec, SimplexMomentSpec
-from .combinat import CycleType, enumerate_cycle_types, enumerate_partitions
+from .combinat import CycleType, _Frozen, enumerate_cycle_types, enumerate_partitions
 from .quantum import EntryMomentSpec
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
@@ -30,15 +29,13 @@ __all__ = ["CheckResult", "SUITES", "run_suite"]
 Z_MAX = 4.0
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(_Frozen):
+    __slots__ = _fields = ("name", "passed", "detail")
 
-    def __post_init__(self):
-        # checks compute numpy bools; reports and JSON need a plain bool
-        object.__setattr__(self, "passed", bool(self.passed))
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", bool(passed))  # checks compute numpy bools; JSON needs a plain bool
+        object.__setattr__(self, "detail", detail)
 
 
 def _z_check(name: str, report: montecarlo.EstimateReport) -> CheckResult:

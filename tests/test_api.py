@@ -13,9 +13,12 @@ from click.testing import CliRunner
 import rho_moments
 from rho_moments import (
     CapExceededError, CycleType, DirichletSpec, EntryMomentSpec, Partition, ScaledRational, SimplexMomentSpec,
-    det_lemma_value, dirichlet_moment, entry_moment, moment_traces, omega_expand, simplex_moment,
+    TraceProductExpr, det_lemma_value, dim_char_sum, dirichlet_moment, entry_moment, moment_traces, omega_expand,
+    simplex_moment,
 )
 from rho_moments.cli import main
+from rho_moments.montecarlo import EstimateReport
+from rho_moments.verify import CheckResult
 
 PUBLIC_NAMES = {
     "Partition",
@@ -80,8 +83,8 @@ def test_module_exports_resolve(name):
     assert missing == []
 
 
-@pytest.mark.parametrize("name", ["combinat", "characters", "classical", "errors"])
-def test_exact_module_imports_no_numpy(name):
+def imports_of(name: str, package: str) -> list[str]:
+    """Each import of ``package`` or its submodules in ``rho_moments.<name>``'s source, as ``file:line: imports m``."""
     path = Path(rho_moments.__file__).with_name(f"{name}.py")
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -91,8 +94,19 @@ def test_exact_module_imports_no_numpy(name):
             modules = [node.module or ""]
         else:
             continue
-        found += [f"{path.name}:{node.lineno}: imports {m}" for m in modules if m.split(".")[0] == "numpy"]
-    assert found == []
+        found += [f"{path.name}:{node.lineno}: imports {m}" for m in modules if m.split(".")[0] == package]
+    return found
+
+
+@pytest.mark.parametrize("name", ["combinat", "characters", "classical", "errors"])
+def test_exact_module_imports_no_numpy(name):
+    assert imports_of(name, "numpy") == []
+
+
+# every value type is a ``combinat._Frozen``; read from the source, since numpy may load dataclasses itself
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(rho_moments.__path__)])
+def test_module_imports_no_dataclasses(name):
+    assert imports_of(name, "dataclasses") == []
 
 
 def tables_sym_chars(k: int, cap: int) -> None:
@@ -178,6 +192,33 @@ VALUE_TYPES = {
         lambda: EntryMomentSpec(2, ((2, 1), (1, 2))),
         "EntryMomentSpec(dimension=2, pairs=((1, 2), (2, 1)))",
     ),
+    "Partition": (
+        lambda: Partition((3, 1)),
+        lambda: Partition(parts=[3, 1, 0]),
+        lambda: Partition((2, 2)),
+        "Partition([3, 1])",
+    ),
+    "CycleType": (
+        lambda: CycleType((2, 0)),
+        lambda: CycleType(counts=[2]),
+        lambda: CycleType((0, 1)),
+        "CycleType([2, 0])",
+    ),
+    "EstimateReport": (
+        lambda: EstimateReport(0.25 + 0j, 0.01, 0.2 + 0j, 5.0, 1000, 7),
+        lambda: EstimateReport(
+            estimate=complex(0.25), std_error=0.01, exact_value=complex(0.2), z_score=5.0, sample_count=1000, seed=7
+        ),
+        lambda: EstimateReport(0.25 + 0j, 0.01, 0.2 + 0j, 5.0, 1000, 8),
+        "EstimateReport(estimate=(0.25+0j), std_error=0.01, exact_value=(0.2+0j), z_score=5.0, sample_count=1000,"
+        " seed=7)",
+    ),
+    "CheckResult": (
+        lambda: CheckResult("purity-mc-n2", np.bool_(True), "z=0.12"),
+        lambda: CheckResult(name="purity-mc-n2", passed=1, detail="z=0.12"),
+        lambda: CheckResult("purity-mc-n2", False, "z=0.12"),
+        "CheckResult(name='purity-mc-n2', passed=True, detail='z=0.12')",
+    ),
 }
 
 
@@ -214,3 +255,38 @@ def test_value_types_of_equal_fields_differ_by_type():
     assert repr(Subclass((1, 2))).endswith(".Subclass(exponents=(1, 2), scale=Fraction(1, 1))")
     assert SimplexMomentSpec((1, 2)) != DirichletSpec((1, 2))
     assert ScaledRational(Fraction(1, 2)) != Fraction(1, 2)
+    # Partition and CycleType compare by exact class as well
+    for cls in (Partition, CycleType):
+        Sub = type("Sub", (cls,), {"__slots__": ()})
+        assert Sub((2, 1)) != cls((2, 1)) and cls((2, 1)) != Sub((2, 1)) and Sub((2, 1)) == Sub((2, 1))
+
+
+# the two term sums, each built twice, then with other terms (and, for TraceProductExpr, another order)
+TERM_SUMS = {
+    "PowerSumPoly": (
+        lambda: dim_char_sum(3, 2),
+        [lambda: dim_char_sum(3, 3)],
+    ),
+    "TraceProductExpr": (
+        lambda: omega_expand(CycleType((0, 2)), 4),
+        [
+            lambda: omega_expand(CycleType((2, 1)), 4),
+            lambda: TraceProductExpr(5, omega_expand(CycleType((0, 2)), 4).terms),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("build, others", TERM_SUMS.values(), ids=TERM_SUMS)
+def test_term_sums_compare_by_terms_are_read_only_and_unhashable(build, others):
+    value = build()
+    assert value == build() and all(value != other() for other in others)
+    assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(others[0](), field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(TypeError, match=f"^unhashable type: '{type(value).__name__}'$"):
+        hash(value)
+    assert value == build()

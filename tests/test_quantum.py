@@ -219,6 +219,17 @@ class TestMgfCoefficient:
         direct = moment_traces([a] * k)
         assert abs(direct - series_term) <= 1e-9 * (1 + abs(direct))
 
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_route_consistency_with_moment_traces_exact(self, n, k):
+        # on a Gaussian-integer Hermitian A both routes round once from exact totals: K! h_K is the permutation sum
+        rng = np.random.default_rng(1000 * n + k)
+        for _ in range(15):
+            g = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
+            a = g + g.conj().T
+            real, imag = mgf_coefficient_exact(k, a)
+            assert moment_traces([a] * k) == complex(float(factorial(k) * real), float(factorial(k) * imag))
+
 
 class TestOmegaExpand:
     def test_single_box(self):
