@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import prod
 from typing import Iterable
 
 from .combinat import CycleType, Partition, _Frozen, _without_trailing_zeros, enumerate_cycle_types
@@ -47,7 +47,7 @@ class PowerSumPoly(_Frozen):
     __hash__ = None
 
     def __init__(self, terms: dict[tuple[int, ...], Fraction]):
-        object.__setattr__(self, "_terms", terms)
+        super().__init__(terms)
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
@@ -130,25 +130,16 @@ def unitary_char_poly(irrep: Partition) -> PowerSumPoly:
 def weyl_dim(irrep: Partition, n: int) -> int:
     """Dimension of the U(N) irrep for this shape; 0 when rows exceed n.
 
-    Weyl's product prod_{i<j<n} (eta_i - eta_j + j - i) / (j - i), in exact
-    integers. With ell rows, the pairs with j >= ell have eta_j = 0, and their
-    factors for one row i telescope into C(eta_i+n-1-i, eta_i) / C(eta_i+ell-1-i,
-    eta_i), so the cost depends on the shape and not on n.
+    The content-hook form [n]_lambda / H_lambda: the product of n + j - i over
+    the boxes (i, j), 0-based, over the product of their hook lengths. A box in
+    row n + 1 has the factor 0, and the cost depends on the shape, not on n.
     """
     if n < 1:
         raise ValueError("n must be positive")
     parts = irrep.parts
-    ell = len(parts)
-    if ell > n:
-        return 0
-    numerator = denominator = 1
-    for i, p in enumerate(parts):
-        numerator *= comb(p + n - 1 - i, p)
-        denominator *= comb(p + ell - 1 - i, p)
-        for j in range(i + 1, ell):
-            numerator *= p - parts[j] + j - i
-            denominator *= j - i
-    return numerator // denominator
+    columns = [len([row for row in parts if row > j]) for j in range(max(parts, default=0))]
+    boxes = [(i, j, row) for i, row in enumerate(parts) for j in range(row)]
+    return prod([n + j - i for i, j, _ in boxes]) // prod([row - j + columns[j] - i - 1 for i, j, row in boxes])
 
 
 def dim_char_sum(k: int, n: int) -> PowerSumPoly:

@@ -45,8 +45,7 @@ class SimplexMomentSpec(_Frozen):
     __slots__ = _fields = ("exponents", "scale")
 
     def __init__(self, exponents: Iterable[int], scale: Fraction = Fraction(1)):
-        object.__setattr__(self, "exponents", _naturals(exponents, "exponents"))
-        object.__setattr__(self, "scale", _as_scale(scale))
+        super().__init__(_naturals(exponents, "exponents"), _as_scale(scale))
 
     def degree(self) -> int:
         """The combined exponent nu = sum(nu_b) + N_b - 1."""
@@ -59,12 +58,11 @@ class DirichletSpec(_Frozen):
     __slots__ = _fields = ("exponents", "scale", "weight_power")
 
     def __init__(self, exponents: Iterable[int], scale: Fraction = Fraction(1), weight_power: int = 0):
-        object.__setattr__(self, "exponents", _naturals(exponents, "exponents"))
-        object.__setattr__(self, "scale", _as_scale(scale))
+        exponents, scale = _naturals(exponents, "exponents"), _as_scale(scale)
         weight_power = operator.index(weight_power)
         if weight_power < 0:
             raise ValueError("weight_power must be a non-negative integer")
-        object.__setattr__(self, "weight_power", weight_power)
+        super().__init__(exponents, scale, weight_power)
 
     def degree(self) -> int:
         """nu for the extended exponent list (nu_B..., 0): sum(nu_B) + N_B."""

@@ -44,7 +44,8 @@ def _naturals(values: Iterable[int], name: str) -> tuple[int, ...]:
 class _Frozen:
     """Base of every value type: its fields, named in ``_fields``, are its slots, set once in ``__init__``.
 
-    ``__init__`` sets each field with ``object.__setattr__``; any later assignment
+    ``__init__(*values)`` sets the fields in order; a subclass checks its inputs
+    first and hands them on with ``super().__init__``. Any later assignment
     raises ``AttributeError``. Equality, hashing and the ``Name(field=value, ...)``
     repr read the fields in order, as a frozen dataclass's do, and a copy or
     pickle calls the constructor with them, positionally. A type may print
@@ -55,8 +56,12 @@ class _Frozen:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -104,7 +109,7 @@ class Partition(_Frozen):
         for a, b in zip(clean, clean[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing, got {clean}")
-        object.__setattr__(self, "parts", clean)
+        super().__init__(clean)
 
     def boxes(self) -> int:
         """Total number of boxes (the K of a K-box shape)."""
@@ -130,7 +135,7 @@ class CycleType(_Frozen):
         clean = _without_trailing_zeros(map(index, counts))
         if any(c < 0 for c in clean):
             raise ValueError(f"negative multiplicity in cycle type {clean}")
-        object.__setattr__(self, "_counts", clean)
+        super().__init__(clean)
 
     @classmethod
     def _checked(cls, counts: tuple[int, ...]) -> CycleType:
@@ -171,27 +176,14 @@ class CycleType(_Frozen):
 
 
 def enumerate_partitions(k: int) -> list[Partition]:
-    """All partitions of ``k``.
+    """All partitions of ``k``: the cycle lengths of ``enumerate_cycle_types(k)``, reversed.
 
     Ordered reverse-lexicographically (largest first part first), so the
     one-row shape leads and the single-column shape closes the list.
     ``k = 0`` yields exactly the empty partition.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    result: list[Partition] = []
-
-    def descend(remaining: int, max_part: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            result.append(Partition(prefix))
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            prefix.append(part)
-            descend(remaining - part, part, prefix)
-            prefix.pop()
-
-    descend(k, k, [])
-    return result
+    rows = sorted((c.cycle_lengths()[::-1] for c in enumerate_cycle_types(k)), reverse=True)
+    return [Partition(parts) for parts in rows]
 
 
 def enumerate_cycle_types(k: int) -> list[CycleType]:

@@ -79,8 +79,7 @@ class EstimateReport(_Frozen):
     def __init__(
         self, estimate: complex, std_error: float, exact_value: complex, z_score: float, sample_count: int, seed: int
     ):
-        for name, value in zip(self._fields, (estimate, std_error, exact_value, z_score, sample_count, seed)):
-            object.__setattr__(self, name, value)
+        super().__init__(estimate, std_error, exact_value, z_score, sample_count, seed)
 
 
 def _component(mean: float, m2: float, count: int, exact: float, scale: float) -> tuple[float, float]:

@@ -70,8 +70,7 @@ class ScaledRational(_Frozen):
     def __init__(self, rational: Fraction, twopi_exponent: int = 0):
         rational = Fraction(rational)
         exponent = operator.index(twopi_exponent)
-        object.__setattr__(self, "rational", rational)
-        object.__setattr__(self, "twopi_exponent", exponent if rational else 0)
+        super().__init__(rational, exponent if rational else 0)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -99,8 +98,7 @@ class EntryMomentSpec(_Frozen):
         for i, j in pairs:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"index pair ({i},{j}) out of range for dimension {n}")
-        object.__setattr__(self, "dimension", n)
-        object.__setattr__(self, "pairs", pairs)
+        super().__init__(n, pairs)
 
     def order(self) -> int:
         return len(self.pairs)
@@ -121,8 +119,7 @@ class TraceProductExpr(_Frozen):
     __hash__ = None
 
     def __init__(self, order: int, terms: dict[tuple[tuple[int, ...], ...], Fraction]):
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_terms", terms)
+        super().__init__(order, terms)
 
     @property
     def terms(self) -> dict[tuple[tuple[int, ...], ...], Fraction]:

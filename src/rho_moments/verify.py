@@ -33,9 +33,7 @@ class CheckResult(_Frozen):
     __slots__ = _fields = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", bool(passed))  # checks compute numpy bools; JSON needs a plain bool
-        object.__setattr__(self, "detail", detail)
+        super().__init__(name, bool(passed), detail)  # checks compute numpy bools; JSON needs a plain bool
 
 
 def _z_check(name: str, report: montecarlo.EstimateReport) -> CheckResult:

@@ -1,7 +1,9 @@
 """Independent oracles used to pin golden values.
 
 Nothing here may call into the code paths it checks: determinants are
-cofactor expansions, dimensions come from the hook-content formula, U(N)
+cofactor expansions, dimensions come from the hook-content formula over
+Fractions and, as the library computed them before it took the content-hook
+ratio in integers, from Weyl's product telescoped into binomials, U(N)
 characters are Weyl's determinant ratio over the eigenvalues, ensemble
 moments and class-monomial expansions list all K! permutations (at larger K,
 ensemble moments are also summed over set partitions in two stages, as the
@@ -27,7 +29,7 @@ as the library's result types did before only their builders made them.
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import factorial, isfinite
+from math import comb, factorial, isfinite
 
 import numpy as np
 
@@ -65,6 +67,26 @@ def hook_content_dim(parts, n):
             value *= Fraction(n + j - i, hook)
     assert value.denominator == 1
     return value.numerator
+
+
+def weyl_dim_telescoped(parts, n):
+    """U(N) irrep dimension by Weyl's product prod_{i<j<n} (eta_i - eta_j + j - i) / (j - i), as the library computed it.
+
+    With ell rows, the pairs with j >= ell have eta_j = 0, and their factors for
+    one row i telescope into C(eta_i+n-1-i, eta_i) / C(eta_i+ell-1-i, eta_i).
+    """
+    parts = tuple(parts)
+    ell = len(parts)
+    if ell > n:
+        return 0
+    numerator = denominator = 1
+    for i, p in enumerate(parts):
+        numerator *= comb(p + n - 1 - i, p)
+        denominator *= comb(p + ell - 1 - i, p)
+        for j in range(i + 1, ell):
+            numerator *= p - parts[j] + j - i
+            denominator *= j - i
+    return numerator // denominator
 
 
 def weyl_ratio_character(parts, eigenvalues):
@@ -108,7 +130,11 @@ def dim_char_sum_oracle(k, n):
 
 
 def enumerate_cycle_types_oracle(k):
-    """The classes of S_K by sorting the partitions of K as weakly increasing cycle-length tuples."""
+    """The classes of S_K by sorting the partitions of K as weakly increasing cycle-length tuples.
+
+    ``enumerate_partitions`` reads the class walk itself, so this oracle checks
+    the order only; the partition numbers p(K) in ``test_combinat`` check the set.
+    """
     lengths = sorted(tuple(sorted(p.parts)) for p in enumerate_partitions(k))
     return [CycleType([t.count(r) for r in range(1, max(t, default=0) + 1)]) for t in lengths]
 

@@ -22,7 +22,14 @@ from rho_moments.combinat import (
 )
 from rho_moments.quantum import eval_power_sums
 
-from oracles import dim_char_sum_formula, dim_char_sum_oracle, hook_content_dim, power_sum_value, weyl_ratio_character
+from oracles import (
+    dim_char_sum_formula,
+    dim_char_sum_oracle,
+    hook_content_dim,
+    power_sum_value,
+    weyl_dim_telescoped,
+    weyl_ratio_character,
+)
 
 F = Fraction
 
@@ -285,6 +292,12 @@ class TestWeylDim:
             for n in range(1, 11):
                 for irrep in enumerate_partitions(k):
                     assert weyl_dim(irrep, n) == hook_content_dim(irrep.parts, n)
+
+    def test_against_telescoped_weyl_product(self):
+        for k in range(9):
+            for n in [*range(1, 11), 10**5]:
+                for irrep in enumerate_partitions(k):
+                    assert weyl_dim(irrep, n) == weyl_dim_telescoped(irrep.parts, n)
 
     def test_matches_character_at_identity(self):
         for k in range(1, 6):

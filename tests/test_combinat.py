@@ -24,6 +24,7 @@ from rho_moments.errors import CapExceededError
 from oracles import enumerate_cycle_types_oracle, exact_det, vandermonde_matrix
 
 MANY_ZEROS = (0,) * 40000
+PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627]
 
 
 class TestPartition:
@@ -124,6 +125,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_partition_class_bijection(self, k):
         assert len(enumerate_partitions(k)) == len(enumerate_cycle_types(k))
+
+    @pytest.mark.parametrize("k", range(21))
+    def test_partition_counts_are_the_partition_numbers(self, k):
+        # p(K) from the literature (OEIS A000041), independent of both walks, so a shape the class walk skips fails here
+        parts = [p.parts for p in enumerate_partitions(k)]
+        assert len(parts) == PARTITION_NUMBERS[k]
+        assert all(a > b for a, b in zip(parts, parts[1:]))
+        assert all(sum(p) == k for p in parts)
 
 
 class TestClassOrder:

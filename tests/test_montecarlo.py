@@ -614,7 +614,7 @@ class TestLambdaMinLaw:
         [report] = estimate_lambda_min_law(3, [Fraction(1, 54)], PINNED_SAMPLES, 7)
         assert report.exact_value == complex(lambda_min_law(3, 1 / 54))
         assert (report.estimate.real.hex(), report.estimate.imag.hex(), report.std_error.hex(),
-                report.exact_value.real.hex(), report.exact_value.imag.hex(), report.z_score.hex()) == PINNED_LAW
+                report.exact_value.real.hex(), report.exact_value.imag.hex(), report.z_score.hex()) == PINNED_LAW, PINNED_ON
 
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_verify_checks_pass_at_the_benchmark_seeds(self, seed):
@@ -628,8 +628,10 @@ class TestLambdaMinLaw:
 
 # float.hex of (estimate.real, estimate.imag, std_error, exact_value.real,
 # exact_value.imag, z_score) and the sample count of each report, recorded with
-# 65537 samples, so every call reduces more than one chunk.
+# 65537 samples, so every call reduces more than one chunk. NEP 19 lets a
+# Generator's streams change between numpy releases, so a failure names both.
 PINNED_SAMPLES = 65537
+PINNED_ON = f"pinned on numpy 2.4.6; this run has numpy {np.__version__}"
 PINNED_REPORTS = {
     "purity-n2": (
         lambda m: [estimate_purity(2, m, 1)],
@@ -687,8 +689,8 @@ def test_reports_keep_their_bits(name):
         (r.estimate.real.hex(), r.estimate.imag.hex(), r.std_error.hex(),
          r.exact_value.real.hex(), r.exact_value.imag.hex(), r.z_score.hex())
         for r in got
-    ] == pinned
+    ] == pinned, PINNED_ON
     for r in got:
-        assert (type(r.estimate), type(r.exact_value)) == (complex, complex)
-        assert (type(r.std_error), type(r.z_score)) == (float, float)
-        assert r.sample_count == PINNED_SAMPLES
+        assert (type(r.estimate), type(r.exact_value)) == (complex, complex), PINNED_ON
+        assert (type(r.std_error), type(r.z_score)) == (float, float), PINNED_ON
+        assert r.sample_count == PINNED_SAMPLES, PINNED_ON

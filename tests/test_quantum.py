@@ -769,23 +769,49 @@ class TestPurityMean:
         assert abs(float(purity_mean(2)) - oracle) < 1e-9
 
 
+class TestTraceEngineAgainstEntryMoments:
+    """The float engine on single-entry observables against the integer engine, bit for bit."""
+
+    def test_single_entry_observables_round_the_exact_moment(self):
+        rng = np.random.default_rng(4000)
+        for trial in range(1000):
+            n, k = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            rows = rng.integers(1, n + 1, size=k)
+            # one spec in five draws its columns freely, so most of those vanish
+            cols = rng.integers(1, n + 1, size=k) if trial % 5 == 0 else rng.permutation(rows)
+            pairs = tuple(zip(rows.tolist(), cols.tolist()))
+            observables = []
+            for i, j in pairs:  # tr(E_ji rho) = rho[i, j]
+                c = np.zeros((n, n))
+                c[j - 1, i - 1] = 1.0
+                observables.append(c)
+            assert moment_traces(observables) == complex(float(entry_moment(EntryMomentSpec(n, pairs))))
+
+
 class TestOmegaRouteAgainstEntryMoments:
-    @pytest.mark.parametrize("k", (1, 2, 3))
-    def test_exhaustive_n2(self, k):
+    @staticmethod
+    def check_exhaustive(n, k):
         from rho_moments.characters import dim_char_sum
 
-        poly = dim_char_sum(k, 2)
-        prefactor = F(factorial(3), factorial(k + 3))
+        poly = dim_char_sum(k, n)
+        prefactor = F(factorial(n * n - 1), factorial(k + n * n - 1))
         expansions = {
             key: omega_expand(CycleType(key), k) for key in poly.terms
         }
-        indices = [(i, j) for i in range(1, 3) for j in range(1, 3)]
+        indices = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         for pairs in itertools.product(indices, repeat=k):
             via_omega = sum(
                 (coeff * expansions[key].evaluate_entry_pairs(pairs) for key, coeff in poly.terms.items()),
                 F(0),
             )
-            assert prefactor * via_omega == entry_moment(EntryMomentSpec(2, pairs))
+            assert prefactor * via_omega == entry_moment(EntryMomentSpec(n, pairs))
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4, 5))
+    def test_exhaustive_n2(self, k):
+        self.check_exhaustive(2, k)
+
+    def test_exhaustive_n3_k4(self):
+        self.check_exhaustive(3, 4)
 
 
 @pytest.mark.parametrize(
