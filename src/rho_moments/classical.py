@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .combinat import _Frozen, _naturals, bounded_factorial, bounded_power
+from .combinat import MIN_SAMPLES, _Frozen, _naturals, bounded_factorial, bounded_power
 
 __all__ = [
     "MIN_SAMPLES",
@@ -27,9 +27,6 @@ __all__ = [
     "beta_function",
     "sample_simplex_batch",
 ]
-
-# Every Monte Carlo estimator refuses smaller sample counts.
-MIN_SAMPLES = 100
 
 
 def _as_scale(scale) -> Fraction:

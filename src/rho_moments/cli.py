@@ -9,7 +9,9 @@ separately. A ``CapExceededError`` from any command, a request past a cap or
 the exact-arithmetic budget, exits 1 with its message; a usage error exits 2.
 The exact commands (``tables``, and ``qmoment`` and ``simplex`` without
 ``--mc``) load only the standard library and this package: the parser is
-``argparse``, and only the commands that draw samples import ``montecarlo``,
+``argparse`` and reads its defaults from ``combinat``; each command imports its
+own engine (``tables`` ``characters``, ``simplex`` ``classical``, ``qmoment``
+``quantum``), and only the commands that draw samples import ``montecarlo``,
 ``verify``, numpy and ``ctypes``.
 """
 
@@ -23,21 +25,15 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
-from . import classical, quantum
-from .characters import (
-    dim_char_sum,
-    monomial_label,
-    sym_character,
-    unitary_char_poly,
-    weyl_dim,
+from .combinat import (
+    DEFAULT_BOX_CAP, MIN_SAMPLES, PERMUTATION_SUM_COST, check_cap, check_exact_bits, class_order,
+    enumerate_cycle_types, enumerate_partitions,
 )
-from .classical import MIN_SAMPLES, DirichletSpec, SimplexMomentSpec
-from .combinat import check_cap, check_exact_bits, class_order, enumerate_cycle_types, enumerate_partitions
 from .errors import CapExceededError
-from .quantum import DEFAULT_BOX_CAP, PERMUTATION_SUM_COST, EntryMomentSpec, ScaledRational
 
 if TYPE_CHECKING:
     from .montecarlo import EstimateReport
+    from .quantum import ScaledRational
 
 __all__ = ["main"]
 
@@ -114,14 +110,15 @@ def parse_entry_pairs(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def exact_json(value: int | Fraction | ScaledRational) -> dict:
-    """The JSON triple of an exact value; ``json.dumps`` calls it on every value it cannot encode."""
-    if not isinstance(value, ScaledRational):
-        value = ScaledRational(value)  # a TypeError for anything but a rational
-    return {
-        "numerator": value.rational.numerator,
-        "denominator": value.rational.denominator,
-        "twopi_exponent": value.twopi_exponent,
-    }
+    """The JSON triple of an exact value; ``json.dumps`` calls it on every value it cannot encode.
+
+    A ``ScaledRational`` is read by its fields, so a table in JSON does not load ``quantum``.
+    """
+    if hasattr(value, "twopi_exponent"):
+        rational, exponent = value.rational, value.twopi_exponent
+    else:
+        rational, exponent = Fraction(value), 0  # a TypeError for anything but a rational
+    return {"numerator": rational.numerator, "denominator": rational.denominator, "twopi_exponent": exponent}
 
 
 def echo_json(doc: dict) -> None:
@@ -200,6 +197,8 @@ def warn_raised_cap(cap: int, default: int, cost: str) -> None:
 
 def cmd_tables(which: str, k: int, n: int | None, fmt: str, cap_k: int) -> None:
     """Print character/dimension tables; K <= 4 reproduces the reference tables."""
+    from .characters import dim_char_sum, monomial_label, sym_character, unitary_char_poly, weyl_dim
+
     if k < 0 or (which != "dim-char-sum" and k < 1):
         raise UsageError("k must be positive (dim-char-sum allows 0)")
     if n is not None and which in ("sym-chars", "unitary-chars"):
@@ -244,17 +243,19 @@ def cmd_simplex(
     nu: str, lam: str, dirichlet: bool, f_power: int, mc: tuple[int, int] | None, threads: int, fmt: str
 ) -> None:
     """Exact simplex/Dirichlet moment for the given exponents and scale."""
+    from .classical import DirichletSpec, SimplexMomentSpec, dirichlet_moment, simplex_moment
+
     exponents = parse_exponents(nu)
     scale = parse_rational(lam, "--lambda")
     try:
         if dirichlet:
             spec = DirichletSpec(exponents, scale, f_power)
-            exact = classical.dirichlet_moment(spec)
+            exact = dirichlet_moment(spec)
         else:
             if f_power:
                 raise UsageError("--f-power needs --dirichlet")
             spec = SimplexMomentSpec(exponents, scale)
-            exact = classical.simplex_moment(spec)
+            exact = simplex_moment(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -283,17 +284,19 @@ def cmd_simplex(
 
 def cmd_qmoment(n: int, entries: str, mc: tuple[int, int] | None, threads: int, cap_k: int, fmt: str) -> None:
     """Exact mean of a product of density-matrix entries."""
+    from .quantum import EntryMomentSpec, entry_moment, hs_volume
+
     pairs = parse_entry_pairs(entries)
     try:
         spec = EntryMomentSpec(n, pairs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     warn_raised_cap(cap_k, DEFAULT_BOX_CAP, PERMUTATION_SUM_COST)
-    exact = quantum.entry_moment(spec, max_boxes=cap_k)
+    exact = entry_moment(spec, max_boxes=cap_k)
     doc = {
         "query": {"n": n, "entries": [list(p) for p in pairs]},
         "exact_value": exact,
-        "raw_value": quantum.hs_volume(n) * exact,
+        "raw_value": hs_volume(n) * exact,
     }
     if mc is not None:
         pin_allocator()

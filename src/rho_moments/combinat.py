@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lgamma, log, prod
-from operator import index
+from operator import attrgetter, index
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError
@@ -21,6 +21,9 @@ __all__ = [
     "class_order",
     "MAX_EXACT_BITS",
     "MAX_FACTORIAL_ARG",
+    "DEFAULT_BOX_CAP",
+    "PERMUTATION_SUM_COST",
+    "MIN_SAMPLES",
     "check_cap",
     "check_exact_bits",
     "bounded_factorial",
@@ -48,8 +51,9 @@ class _Frozen:
     first and hands them on with ``super().__init__``. Any later assignment
     raises ``AttributeError``. Equality, hashing and the ``Name(field=value, ...)``
     repr read the fields in order, as a frozen dataclass's do, and a copy or
-    pickle calls the constructor with them, positionally. A type may print
-    itself in its own form, and one holding a dict sets ``__hash__ = None``. A
+    pickle calls the constructor with them, positionally: ``_values`` reads them
+    as a tuple through one ``attrgetter`` per subclass. A type may print itself
+    in its own form, and one holding a dict sets ``__hash__ = None``. A
     subclass inherits ``_fields``, so it may declare empty ``__slots__``.
     """
 
@@ -60,8 +64,10 @@ class _Frozen:
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        read = attrgetter(*cls._fields)  # one field reads as its value, more as a tuple
+        cls._values = (lambda self: (read(self),)) if len(cls._fields) == 1 else (lambda self: read(self))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -222,6 +228,14 @@ def class_order(cycle_type: CycleType) -> int:
 MAX_FACTORIAL_ARG = 10000
 # Largest exact power or parsed input, in bits: the size of MAX_FACTORIAL_ARG!.
 MAX_EXACT_BITS = int(lgamma(MAX_FACTORIAL_ARG + 1) / log(2))
+# Largest K accepted per call. The permutation sums' chain steps, peak memory
+# and cached plans' sizes are given in ``quantum._layer_plan``; ``omega_expand``
+# lists the K!/z_mu distinct cycle words of its class. Overridable per call. A
+# refusal comes before any count; it names K!/z_mu only while K! < 2^63.
+DEFAULT_BOX_CAP = 8
+PERMUTATION_SUM_COST = "the permutation sum costs up to (K-1)*2^(K-2)+1 chain steps, fewer when inputs repeat"
+# Every Monte Carlo estimator refuses smaller sample counts.
+MIN_SAMPLES = 100
 
 
 def check_cap(k: int, cap: int, cost: str) -> int:

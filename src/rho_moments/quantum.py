@@ -34,8 +34,8 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
 from .combinat import (
-    CycleType, _Frozen, _naturals, bounded_factorial, check_cap, class_order, lower_triangle_count, super_factorial,
-    vandermonde,
+    DEFAULT_BOX_CAP, PERMUTATION_SUM_COST, CycleType, _Frozen, _naturals, bounded_factorial, check_cap, class_order,
+    lower_triangle_count, super_factorial, vandermonde,
 )
 
 __all__ = [
@@ -53,13 +53,6 @@ __all__ = [
     "entry_moment",
     "purity_mean",
 ]
-
-# Largest K accepted per call. The permutation sums' chain steps, peak memory
-# and cached plans' sizes are given in ``_layer_plan``; ``omega_expand`` lists
-# the K!/z_mu distinct cycle words of its class. Overridable per call. A
-# refusal comes before any count; it names K!/z_mu only while K! < 2^63.
-DEFAULT_BOX_CAP = 8
-PERMUTATION_SUM_COST = "the permutation sum costs up to (K-1)*2^(K-2)+1 chain steps, fewer when inputs repeat"
 
 
 class ScaledRational(_Frozen):

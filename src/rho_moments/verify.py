@@ -150,17 +150,18 @@ def _quantum_checks(samples: int, seed: int, workers: int) -> list[CheckResult]:
     )
     checks.append(CheckResult("det-vs-int-lemma", lemma_ok, "beta entries <= 3, N <= 3"))
 
-    # the paper's route: dimension times character, summed over every K-box shape
-    cauchy_ok = all(
-        dim_char_sum(k, n).coefficient(c.counts)
-        == sum(
-            weyl_dim(irrep, n) * unitary_char_poly(irrep).coefficient(c.counts)
-            for irrep in enumerate_partitions(k)
-        )
-        for k in range(1, 7)
-        for n in range(1, 5)
-        for c in enumerate_cycle_types(k)
-    )
+    # the paper's route: dimension times character, summed over every K-box shape;
+    # each K's shapes and characters, and each (K, N)'s dimensions, are built once
+    cauchy_ok = True
+    for k in range(1, 7):
+        shapes = enumerate_partitions(k)
+        chars = [unitary_char_poly(irrep) for irrep in shapes]
+        for n in range(1, 5):
+            total, dims = dim_char_sum(k, n), [weyl_dim(irrep, n) for irrep in shapes]
+            cauchy_ok &= all(
+                total.coefficient(c.counts) == sum(d * chi.coefficient(c.counts) for d, chi in zip(dims, chars))
+                for c in enumerate_cycle_types(k)
+            )
     checks.append(
         CheckResult("dim-char-sum-vs-characters", cauchy_ok, "K <= 6, N <= 4, every class, exact")
     )

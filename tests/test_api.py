@@ -63,7 +63,7 @@ PUBLIC_NAMES = {
 def test_package_exports_are_pinned():
     assert len(rho_moments.__all__) == len(PUBLIC_NAMES)
     assert set(rho_moments.__all__) == PUBLIC_NAMES
-    # the Monte Carlo names resolve on first access
+    # every name resolves on first access, the Monte Carlo names too
     namespace = {}
     exec("from rho_moments import *", namespace)
     assert set(namespace) >= PUBLIC_NAMES

@@ -2,6 +2,7 @@ import ctypes
 import json
 import math
 import os
+import pkgutil
 import platform
 import re
 import shlex
@@ -403,6 +404,22 @@ class TestVerifyCommand:
             return PowerSumPoly(terms)
 
         monkeypatch.setattr(rho_moments.verify, "dim_char_sum", corrupted)
+        result = runner.invoke(
+            main,
+            ["verify", "--suite", "quantum", "--samples", "5000", "--seed", "7", "--threads", "1"],
+        )
+        assert result.exit_code == 1
+        failed = [line.split()[0] for line in result.output.splitlines() if " FAIL " in line]
+        assert failed == ["dim-char-sum-vs-characters"]
+
+    def test_perturbed_weyl_dim_fails(self, runner, monkeypatch):
+        dimension = rho_moments.verify.weyl_dim
+
+        def corrupted(irrep, n):
+            # one dimension off by one, dim_3(3,1) = 16 for 15: only the character-route check sees it
+            return dimension(irrep, n) + (irrep.parts == (3, 1) and n == 3)
+
+        monkeypatch.setattr(rho_moments.verify, "weyl_dim", corrupted)
         result = runner.invoke(
             main,
             ["verify", "--suite", "quantum", "--samples", "5000", "--seed", "7", "--threads", "1"],
@@ -858,6 +875,7 @@ for argv in sys.argv[1:]:
     except SystemExit as done:
         code = done.code
     assert code == 0, argv
+print(sorted(name for name in sys.modules if name.startswith("rho_moments")))
 print(sorted(name for name in ("click", "dataclasses", "inspect", "ctypes") if name in sys.modules))
 """
 
@@ -867,6 +885,67 @@ def test_exact_commands_load_only_the_standard_library():
     done = run_fresh(COLD_PATH_SCRIPT, *EXACT_COMMANDS)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argvs, engine",
+    [
+        (
+            (
+                "tables sym-chars --k 3",
+                "tables unitary-chars --k 3 --format json",
+                "tables dims --k 4 --n 3 --format json",
+                "tables dim-char-sum --k 4 --n 3 --format csv",
+            ),
+            "characters",
+        ),
+        (("simplex --nu 2,0,1 --lambda 1", "simplex --nu 2,0 --dirichlet --f-power 1 --format json"), "classical"),
+        (("qmoment --n 2 --entries '1,2 2,1'", "qmoment --n 2 --entries '1,2 2,1' --format json"), "quantum"),
+    ],
+    ids=["tables", "simplex", "qmoment"],
+)
+def test_each_exact_command_loads_only_its_engine(argvs, engine):
+    # the parser's defaults live in combinat, CapExceededError in errors; a JSON table reads no ScaledRational;
+    # the script's next-to-last line lists the package's loaded modules
+    done = run_fresh(COLD_PATH_SCRIPT, *argvs)
+    assert done.returncode == 0, done.stderr
+    expected = sorted(f"rho_moments{suffix}" for suffix in ("", ".cli", ".combinat", ".errors", f".{engine}"))
+    assert done.stdout.splitlines()[-2] == str(expected)
+
+
+def test_bare_import_loads_no_submodule():
+    done = run_fresh('import sys, rho_moments; print(sorted(n for n in sys.modules if n.startswith("rho_moments")))')
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['rho_moments']"
+
+
+PUBLIC_NAMES_SCRIPT = """
+import sys
+import rho_moments
+
+for name in rho_moments.__all__:
+    if name != "__version__":
+        value = getattr(rho_moments, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert name in dir(rho_moments), name
+print("ok")
+"""
+
+
+def test_public_names_resolve_to_their_modules_objects():
+    # each name resolves on first access, in a fresh process, to the object its own module defines
+    done = run_fresh(PUBLIC_NAMES_SCRIPT)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(rho_moments.__path__)])
+def test_submodule_names_resolve_on_first_access(name):
+    # an attribute of the bare package, not an import statement, which would bind it without __getattr__
+    script = f"import sys, rho_moments; print(rho_moments.{name} is sys.modules['rho_moments.{name}'])"
+    done = run_fresh(script + f"; print({name!r} in dir(rho_moments))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
 
 
 @pytest.mark.parametrize(
